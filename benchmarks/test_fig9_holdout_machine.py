@@ -48,11 +48,9 @@ class ZeroShotRPVAdapter:
             descriptor_from_spec(MACHINES[name]) for name in SYSTEM_ORDER
         ]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.head.predict_wide(X, self.descriptors)
-
-    def predict_with_uncertainty(self, X):
-        return self.head.predict_wide_with_uncertainty(X, self.descriptors)
+    def predict(self, X: np.ndarray, *, uncertainty: bool = False):
+        return self.head.predict_wide(X, self.descriptors,
+                                      uncertainty=uncertainty)
 
 
 def _train_holdout_head(dataset) -> DescriptorConditionedPredictor:

@@ -95,7 +95,7 @@ def test_perf_sched_and_predict():
     assert fast_result.backfilled == ref_result.backfilled
 
     sched_speedup = t_ref / t_fast
-    events_per_sec = fast.last_run_stats["sched_events"] / t_fast
+    events_per_sec = fast.last_run_stats.sched_events / t_fast
     results["sched"] = {
         "n_jobs": N_JOBS,
         "strategy": "model",

@@ -20,14 +20,9 @@ import numpy as np
 from repro import telemetry
 from repro.arch.machines import SYSTEM_ORDER
 from repro.errors import PackingError
-from repro.dataset.features import (
-    REQUIRED_RECORD_FIELDS,
-    FeatureNormalizer,
-    derive_feature_frame,
-)
+from repro.dataset.features import FeatureNormalizer, featurize_record
 from repro.dataset.generate import MPHPCDataset
 from repro.dataset.schema import FEATURE_COLUMNS, FEATURE_LABELS
-from repro.frame import Frame
 from repro.ml import MODELS
 
 __all__ = ["CrossArchPredictor"]
@@ -92,26 +87,19 @@ class CrossArchPredictor:
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict RPVs from an already-featurized matrix."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
-            raise ValueError(
-                f"X has shape {X.shape}, expected (n, {len(self.feature_columns)})"
-            )
-        # Instrumented here — at the batch boundary — so the flat-
-        # ensemble kernel underneath stays telemetry-free.
-        if telemetry.metrics_enabled():
-            t0 = time.perf_counter()
-            result = self.model.predict(X)
-            telemetry.histogram("predict.batch_seconds").observe(
-                time.perf_counter() - t0
-            )
-            telemetry.histogram(
-                "predict.batch_rows", telemetry.SIZE_BUCKETS
-            ).observe(X.shape[0])
-            return result
-        return self.model.predict(X)
+    def predict(self, X: np.ndarray, *, uncertainty: bool = False):
+        """Predict RPVs from an already-featurized matrix.
+
+        With ``uncertainty=True`` returns ``(mean, spread)``, both
+        shaped ``(n, n_outputs)``: the ensemble spread for forests, the
+        inter-quantile half-width for boosting fitted with
+        ``quantile_heads``.  The mean stays bit-identical to the plain
+        prediction (uncertainty is a second output, never a different
+        answer).  A scheduler can use the spread to fall back to safer
+        placements when the model is unsure which system wins.
+        """
+        X = self._checked(np.asarray(X, dtype=np.float64), "X", ValueError)
+        return self._run(self.model.predict, X, uncertainty)
 
     def pack(self, X: np.ndarray) -> np.ndarray:
         """Pack a float feature matrix into uint8 bin codes, once.
@@ -133,20 +121,16 @@ class CrossArchPredictor:
                 f"{self.kind} model has no feature binner; "
                 "pack() applies to tree models only"
             )
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
-            raise PackingError(
-                f"X has shape {X.shape}, expected "
-                f"(n, {len(self.feature_columns)})"
-            )
+        X = self._checked(np.asarray(X, dtype=np.float64), "X", PackingError)
         return binner.transform(X)
 
-    def predict_packed(self, Xb: np.ndarray) -> np.ndarray:
+    def predict_packed(self, Xb: np.ndarray, *, uncertainty: bool = False):
         """Predict RPVs from a matrix packed by :meth:`pack`.
 
-        Bit-identical to ``predict`` on the floats the codes came from
-        (the binning is exactly the transform ``predict`` applies
-        first); only the repeated quantile searchsorted is skipped.
+        Bit-identical to :meth:`predict` on the floats the codes came
+        from, with or without *uncertainty* (the binning is exactly the
+        transform ``predict`` applies first); only the repeated
+        quantile searchsorted is skipped.
         """
         if not hasattr(self.model, "predict_binned"):
             raise PackingError(
@@ -157,34 +141,17 @@ class CrossArchPredictor:
             raise PackingError(
                 f"packed matrix must be uint8 bin codes, got {Xb.dtype}"
             )
-        if Xb.ndim != 2 or Xb.shape[1] != len(self.feature_columns):
-            raise PackingError(
-                f"packed matrix has shape {Xb.shape}, expected "
-                f"(n, {len(self.feature_columns)})"
-            )
-        if telemetry.metrics_enabled():
-            t0 = time.perf_counter()
-            result = self.model.predict_binned(Xb)
-            telemetry.histogram("predict.batch_seconds").observe(
-                time.perf_counter() - t0
-            )
-            telemetry.histogram(
-                "predict.batch_rows", telemetry.SIZE_BUCKETS
-            ).observe(Xb.shape[0])
-            return result
-        return self.model.predict_binned(Xb)
+        Xb = self._checked(Xb, "packed matrix", PackingError)
+        return self._run(self.model.predict_binned, Xb, uncertainty)
 
-    def predict_frame(self, frame: Frame) -> np.ndarray:
-        """Predict RPVs for rows of a frame containing feature columns."""
-        return self.predict(frame.to_matrix(list(self.feature_columns)))
-
-    def predict_record(self, record: dict) -> np.ndarray:
+    def predict_record(self, record: dict, *, uncertainty: bool = False):
         """Predict the RPV for one raw run record.
 
         *record* is the output of :func:`repro.hatchet_lite.run_record`
         (canonical counters + run metadata).  Features are derived with
         the normalizer fitted during training, matching the deployment
-        path: profile once on one machine, predict everywhere.
+        path: profile once on one machine, predict everywhere.  With
+        ``uncertainty=True`` returns ``(rpv, spread)``.
 
         Raises ``KeyError`` when a required counter field is absent and
         ``ValueError`` when one is NaN or ±inf (a truncated or garbled
@@ -194,22 +161,11 @@ class CrossArchPredictor:
         """
         if self.normalizer is None:
             raise RuntimeError("predict_record called before fit")
-        missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
-        if missing:
-            raise KeyError(
-                f"record is missing counter fields: {sorted(missing)}"
-            )
-        bad = [
-            f for f in REQUIRED_RECORD_FIELDS
-            if not np.isfinite(np.asarray(record[f], dtype=np.float64))
-        ]
-        if bad:
-            raise ValueError(
-                f"record has non-finite counter values: {sorted(bad)}"
-            )
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(frame, normalizer=self.normalizer)
-        return self.predict_frame(featured)[0]
+        row = featurize_record(record, self.normalizer, self.feature_columns)
+        if uncertainty:
+            mean, spread = self.predict(row[None, :], uncertainty=True)
+            return mean[0], spread[0]
+        return self.predict(row[None, :])[0]
 
     def rank_systems(self, record: dict) -> list[str]:
         """System names ordered fastest to slowest for one run record."""
@@ -219,78 +175,42 @@ class CrossArchPredictor:
     @property
     def has_uncertainty(self) -> bool:
         """Whether the wrapped model exposes an uncertainty estimate."""
-        return bool(getattr(self.model, "has_uncertainty", False)) or \
-            hasattr(self.model, "predict_per_tree")
+        return bool(getattr(self.model, "has_uncertainty", False))
 
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predict RPVs with a per-component uncertainty estimate.
-
-        Models advertising ``has_uncertainty`` answer through the
-        uncertainty protocol — ensemble spread for forests, the
-        inter-quantile half-width for boosting fitted with
-        ``quantile_heads`` — and the mean stays bit-identical to
-        :meth:`predict` (uncertainty is a second output, never a
-        different answer).  Returns ``(mean, spread)``, both shaped
-        ``(n, n_outputs)``.  A scheduler can use the spread to fall
-        back to safer placements when the model is unsure which system
-        wins.
-        """
-        model = self._uncertainty_model()
-        X = np.asarray(X, dtype=np.float64)
+    def _checked(self, X: np.ndarray, what: str, error: type) -> np.ndarray:
+        """*X* itself, once it has one column per feature."""
         if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
-            raise ValueError(
-                f"X has shape {X.shape}, expected (n, {len(self.feature_columns)})"
-            )
-        if model is not None:
-            return model.predict_with_uncertainty(X)
-        per_tree = self.model.predict_per_tree(X)
-        return per_tree.mean(axis=0), per_tree.std(axis=0)
-
-    def predict_packed_with_uncertainty(
-        self, Xb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, spread)`` from a matrix packed by :meth:`pack`.
-
-        The mean is bit-identical to :meth:`predict_packed` on the same
-        codes (same flat-ensemble traversal, same accumulation order).
-        """
-        model = self._uncertainty_model()
-        if model is None or not hasattr(
-            model, "predict_binned_with_uncertainty"
-        ):
-            raise PackingError(
-                f"{self.kind} model cannot score packed features "
-                "with uncertainty"
-            )
-        Xb = np.asarray(Xb)
-        if Xb.dtype != np.uint8:
-            raise PackingError(
-                f"packed matrix must be uint8 bin codes, got {Xb.dtype}"
-            )
-        if Xb.ndim != 2 or Xb.shape[1] != len(self.feature_columns):
-            raise PackingError(
-                f"packed matrix has shape {Xb.shape}, expected "
+            raise error(
+                f"{what} has shape {X.shape}, expected "
                 f"(n, {len(self.feature_columns)})"
             )
-        return model.predict_binned_with_uncertainty(Xb)
+        return X
 
-    def _uncertainty_model(self):
-        """The wrapped model if it speaks the uncertainty protocol.
+    def _run(self, score, X: np.ndarray, uncertainty: bool):
+        """``score(X)`` (a model predict method) with the batch metrics.
 
-        Returns None when only the legacy ``predict_per_tree`` fallback
-        applies; raises the documented ``TypeError`` when neither path
-        exists (e.g. boosting without quantile heads, linear, mean).
+        Instrumented here — at the batch boundary — so the flat-
+        ensemble kernel underneath stays telemetry-free.
         """
-        if getattr(self.model, "has_uncertainty", False):
-            return self.model
-        if hasattr(self.model, "predict_per_tree"):
-            return None
-        raise TypeError(
-            f"{self.kind} model has no uncertainty estimate; "
-            "use model='forest' or fit xgboost with quantile_heads"
+        kwargs = {}
+        if uncertainty:
+            if not self.has_uncertainty:
+                raise TypeError(
+                    f"{self.kind} model has no uncertainty estimate; "
+                    "use model='forest' or fit xgboost with quantile_heads"
+                )
+            kwargs["uncertainty"] = True
+        if not telemetry.metrics_enabled():
+            return score(X, **kwargs)
+        t0 = time.perf_counter()
+        result = score(X, **kwargs)
+        telemetry.histogram("predict.batch_seconds").observe(
+            time.perf_counter() - t0
         )
+        telemetry.histogram(
+            "predict.batch_rows", telemetry.SIZE_BUCKETS
+        ).observe(X.shape[0])
+        return result
 
     # ------------------------------------------------------------------
     def feature_importances(self) -> dict[str, float]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.arch.descriptor import MachineDescriptor, descriptor_from_spec
 from repro.arch.machines import MACHINES, SYSTEM_ORDER
-from repro.dataset.features import FeatureNormalizer, derive_feature_frame
+from repro.dataset.features import FeatureNormalizer, featurize_record
 from repro.dataset.longform import LongformDataset
 from repro.dataset.schema import (
     ARCH_COLUMNS,
@@ -35,7 +35,6 @@ from repro.dataset.schema import (
     FEATURE_COLUMNS,
     LONG_FEATURE_COLUMNS,
 )
-from repro.frame import Frame
 from repro.ml import MODELS
 
 __all__ = ["DescriptorConditionedPredictor"]
@@ -51,7 +50,7 @@ class DescriptorConditionedPredictor:
     ----------
     model:
         Registered model name.  ``"xgboost"`` (default) automatically
-        fits quantile heads so :meth:`predict_with_uncertainty` works;
+        fits quantile heads so ``predict(X, uncertainty=True)`` works;
         ``"forest"`` gets uncertainty from its bagging spread for free.
     random_state, **model_kwargs:
         Forwarded to the model factory.
@@ -102,36 +101,27 @@ class DescriptorConditionedPredictor:
     # ------------------------------------------------------------------
     @property
     def has_uncertainty(self) -> bool:
-        return bool(getattr(self.model, "has_uncertainty", False)) or \
-            hasattr(self.model, "predict_per_tree")
+        return bool(getattr(self.model, "has_uncertainty", False))
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray, *, uncertainty: bool = False):
+        """Predicted ``rel_time`` per long feature row, shape ``(n,)``.
+
+        With ``uncertainty=True`` returns ``(rel_time, spread)``, each
+        ``(n,)``; the mean is bit-identical to the plain prediction.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_columns):
             raise ValueError(
                 f"X has shape {X.shape}, expected "
                 f"(n, {len(self.feature_columns)})"
             )
-        return X
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted ``rel_time`` per long feature row, shape ``(n,)``."""
-        return self.model.predict(self._check(X))[:, 0]
-
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rel_time, spread)`` per long feature row, each ``(n,)``."""
-        X = self._check(X)
-        if getattr(self.model, "has_uncertainty", False):
-            mean, spread = self.model.predict_with_uncertainty(X)
-        elif hasattr(self.model, "predict_per_tree"):
-            per_tree = self.model.predict_per_tree(X)
-            mean, spread = per_tree.mean(axis=0), per_tree.std(axis=0)
-        else:
+        if not uncertainty:
+            return self.model.predict(X)[:, 0]
+        if not self.has_uncertainty:
             raise TypeError(
                 f"{self.kind} model has no uncertainty estimate"
             )
+        mean, spread = self.model.predict(X, uncertainty=True)
         return mean[:, 0], spread[:, 0]
 
     # ------------------------------------------------------------------
@@ -179,25 +169,21 @@ class DescriptorConditionedPredictor:
         self,
         X_wide: np.ndarray,
         machines: "list[MachineDescriptor] | tuple[MachineDescriptor, ...]",
-    ) -> np.ndarray:
+        *,
+        uncertainty: bool = False,
+    ):
         """Score v1 wide feature rows against a descriptor list.
 
         Returns predicted ``t_machine / t_source`` ratios, shape
         ``(n, len(machines))`` — lower is faster, and the machines need
-        not have existed at training time.
+        not have existed at training time.  With ``uncertainty=True``
+        returns ``(scores, spread)``, both that shape.
         """
         X_long = self._expand_wide(X_wide, machines)
-        return self.predict(X_long).reshape(-1, len(machines))
-
-    def predict_wide_with_uncertainty(
-        self,
-        X_wide: np.ndarray,
-        machines: "list[MachineDescriptor] | tuple[MachineDescriptor, ...]",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(scores, spread)`` for wide rows × descriptors."""
-        X_long = self._expand_wide(X_wide, machines)
-        mean, spread = self.predict_with_uncertainty(X_long)
         m = len(machines)
+        if not uncertainty:
+            return self.predict(X_long).reshape(-1, m)
+        mean, spread = self.predict(X_long, uncertainty=True)
         return mean.reshape(-1, m), spread.reshape(-1, m)
 
     def score_record(
@@ -205,15 +191,17 @@ class DescriptorConditionedPredictor:
         record: dict,
         machines: "list[MachineDescriptor] | tuple[MachineDescriptor, ...]",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(scores, spread)`` over *machines* for one raw run record."""
+        """``(scores, spread)`` over *machines* for one raw run record.
+
+        The record is screened like
+        :meth:`CrossArchPredictor.predict_record`: a missing counter
+        raises ``KeyError`` and a NaN or ±inf one ``ValueError``.
+        """
         if self.normalizer is None:
             raise RuntimeError("score_record called before fit")
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(frame, normalizer=self.normalizer)
-        X_wide = featured.to_matrix(list(FEATURE_COLUMNS))
-        scores, spread = self.predict_wide_with_uncertainty(
-            X_wide, machines
-        )
+        row = featurize_record(record, self.normalizer, FEATURE_COLUMNS)
+        scores, spread = self.predict_wide(row[None, :], machines,
+                                           uncertainty=True)
         return scores[0], spread[0]
 
     # ------------------------------------------------------------------

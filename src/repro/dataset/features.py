@@ -22,6 +22,7 @@ from repro.frame import Frame
 __all__ = [
     "FeatureNormalizer",
     "derive_feature_frame",
+    "featurize_record",
     "RAW_FOR_MAGNITUDE",
     "REQUIRED_RECORD_FIELDS",
 ]
@@ -57,6 +58,34 @@ REQUIRED_RECORD_FIELDS: tuple[str, ...] = (
     *RAW_FOR_MAGNITUDE.values(),
     *CONFIG_FEATURES,
 )
+
+
+def featurize_record(
+    record: dict,
+    normalizer: FeatureNormalizer,
+    columns: list[str] | tuple[str, ...],
+) -> np.ndarray:
+    """One raw run record -> one feature row over *columns*.
+
+    Screens the record first: raises ``KeyError`` when a required
+    counter field is absent and ``ValueError`` when one is NaN or ±inf
+    (a truncated or garbled measurement), so a broken record can never
+    be binned into a confident answer.  Derivation uses the fitted
+    *normalizer* on a single-record frame, the deployment path every
+    record-level predictor shares.
+    """
+    missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
+    if missing:
+        raise KeyError(f"record is missing counter fields: {sorted(missing)}")
+    bad = [
+        f for f in REQUIRED_RECORD_FIELDS
+        if not np.isfinite(np.asarray(record[f], dtype=np.float64))
+    ]
+    if bad:
+        raise ValueError(f"record has non-finite counter values: {sorted(bad)}")
+    featured, _ = derive_feature_frame(Frame.from_records([record]),
+                                       normalizer=normalizer)
+    return featured.to_matrix(list(columns))[0]
 
 
 class FeatureNormalizer:

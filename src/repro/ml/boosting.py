@@ -69,11 +69,12 @@ class GradientBoostedTrees:
     quantile_heads:
         Optional quantile levels (e.g. ``(0.25, 0.75)``) to fit as
         auxiliary pinball-loss ensembles **after** the main fit.  When
-        set, :meth:`predict_with_uncertainty` returns the inter-quantile
-        half-width as the uncertainty estimate.  The heads are trained
-        strictly after (and independently of) the main boosting loop —
-        they consume no shared randomness and never touch the mean
-        prediction, so enabling them cannot perturb ``predict``.
+        set, ``predict(X, uncertainty=True)`` also returns the
+        inter-quantile half-width as the uncertainty estimate.  The
+        heads are trained strictly after (and independently of) the
+        main boosting loop — they consume no shared randomness and
+        never touch the mean prediction, so enabling them cannot
+        perturb ``predict``.
     n_quantile_rounds, quantile_max_depth:
         Size of each quantile head's ensemble (heads are deliberately
         smaller than the main model; they estimate a band, not a mean).
@@ -88,6 +89,12 @@ class GradientBoostedTrees:
     >>> float(np.abs(model.predict(X)[:, 0] - y).mean()) < 0.2
     True
     """
+
+    #: quantile level -> (trees, FlatEnsemble).  The class-level empty
+    #: dict serves unfitted models, unpickled copies (``__getstate__``
+    #: drops the cache) and pickles that predate it; it is replaced,
+    #: never mutated in place.
+    _head_flat_cache: dict[float, tuple[tuple[Tree, ...], FlatEnsemble]] = {}
 
     def __init__(
         self,
@@ -163,7 +170,9 @@ class GradientBoostedTrees:
         # keyed by strong references to the trees themselves so direct
         # trees_ replacement (deserialization, early-stopping
         # truncation, a serve hot-swap) always misses — an id-based key
-        # could false-hit when a replaced tree's id is recycled.
+        # could false-hit when a replaced tree's id is recycled.  Each
+        # quantile head's stack is cached the same way, per level, in
+        # _head_flat_cache.
         self._flat_cache: tuple[tuple[Tree, ...], FlatEnsemble] | None = None
         #: Per-round metrics recorded during fit: train MAE always, and
         #: validation MAE when an eval_set is supplied.
@@ -207,6 +216,7 @@ class GradientBoostedTrees:
         pred = np.tile(self.base_score_, (n, 1))
         self.trees_ = []
         self._flat_cache = None
+        self._head_flat_cache = {}
         self.quantile_trees_ = {}
 
         val_pack = None
@@ -314,37 +324,78 @@ class GradientBoostedTrees:
                 rounds.append(round_trees)
             self.quantile_trees_[q] = (base, rounds)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets; always returns shape ``(n, n_outputs)``."""
+    def predict(self, X: np.ndarray, *, uncertainty: bool = False):
+        """Predict targets; always returns shape ``(n, n_outputs)``.
+
+        Bins *X* once and defers to :meth:`predict_binned`, so the
+        *uncertainty* flag means the same thing here.
+        """
         if self.binner_ is None or self.base_score_ is None:
             raise RuntimeError("predict called before fit")
         X = np.asarray(X, dtype=np.float64)
-        return self.predict_binned(self.binner_.transform(X))
+        return self.predict_binned(self.binner_.transform(X),
+                                   uncertainty=uncertainty)
 
-    def predict_binned(self, Xb: np.ndarray) -> np.ndarray:
+    def predict_binned(self, Xb: np.ndarray, *, uncertainty: bool = False):
         """Predict from a pre-binned feature matrix (``binner_.transform``
         output), skipping the repeated quantile transform when the same
         rows are scored many times.  Returns shape ``(n, n_outputs)``.
 
-        Every tree is traversed in one flat vectorized pass
-        (:class:`~repro.ml.tree.FlatEnsemble`); leaf contributions are
-        then accumulated round by round in the exact order of the
-        original per-tree loop, so results are bit-identical to it
-        (numpy reductions would use pairwise summation and drift in the
-        last ulp).
+        With ``uncertainty=True`` returns ``(mean, spread)``: the mean
+        is the plain prediction, bit for bit; the spread is the
+        half-width between the highest and lowest fitted quantile
+        heads, clipped at zero (crossed quantile estimates collapse to
+        zero spread rather than going negative).
         """
         if self.binner_ is None or self.base_score_ is None:
             raise RuntimeError("predict called before fit")
+        if uncertainty and not self.quantile_trees_:
+            raise RuntimeError(
+                "model has no quantile heads; construct with "
+                "quantile_heads=(lo, hi) to enable uncertainty"
+            )
         Xb = np.asarray(Xb)
-        pred = np.tile(self.base_score_, (Xb.shape[0], 1))
-        if not self.trees_:
+        mean = self._accumulate(Xb)
+        if not uncertainty:
+            return mean
+        levels = sorted(self.quantile_trees_)
+        lo = self._accumulate(Xb, levels[0])
+        hi = self._accumulate(Xb, levels[-1])
+        return mean, np.clip((hi - lo) / 2.0, 0.0, None)
+
+    @property
+    def has_uncertainty(self) -> bool:
+        """True once quantile heads are fitted (uncertainty protocol)."""
+        return bool(self.quantile_trees_)
+
+    def _accumulate(self, Xb: np.ndarray,
+                    head: float | None = None) -> np.ndarray:
+        """The main ensemble's prediction (``head=None``) or quantile
+        head *head*'s: its base score plus every round.
+
+        Every tree is traversed in one flat vectorized pass
+        (:class:`~repro.ml.tree.FlatEnsemble`); leaf contributions are
+        then accumulated round by round in the exact order of the
+        per-tree training loop, so results are bit-identical to it
+        (numpy reductions would use pairwise summation and drift in the
+        last ulp).  A vector-leaf round adds its one tree to every
+        output; otherwise tree ``out`` of a round adds to output
+        ``out`` (quantile heads are always per-output).
+        """
+        if head is None:
+            base, rounds = self.base_score_, self.trees_
+            vector_leaves = self.multi_strategy == "multi_output_tree"
+        else:
+            (base, rounds), vector_leaves = self.quantile_trees_[head], False
+        pred = np.tile(base, (Xb.shape[0], 1))
+        if not rounds:
             return pred
-        flat = self._flat_ensemble()
+        flat = self._flat_ensemble(head)
         leaves = flat.predict_leaves(Xb)
         values = flat.values
         ti = 0
-        for round_trees in self.trees_:
-            if self.multi_strategy == "multi_output_tree":
+        for round_trees in rounds:
+            if vector_leaves:
                 pred += values[leaves[ti]]
                 ti += 1
             else:
@@ -353,64 +404,21 @@ class GradientBoostedTrees:
                     ti += 1
         return pred
 
-    @property
-    def has_uncertainty(self) -> bool:
-        """True once quantile heads are fitted (uncertainty protocol)."""
-        return bool(self.quantile_trees_)
-
-    def predict_quantile_binned(self, q: float, Xb: np.ndarray) -> np.ndarray:
-        """One quantile head's prediction from pre-binned features."""
-        if q not in self.quantile_trees_:
-            raise RuntimeError(
-                f"no quantile head fitted for level {q!r}; "
-                f"available: {sorted(self.quantile_trees_)}"
-            )
-        base, rounds = self.quantile_trees_[q]
-        Xb = np.asarray(Xb)
-        pred = np.tile(base, (Xb.shape[0], 1))
-        for round_trees in rounds:
-            for out, tree in enumerate(round_trees):
-                pred[:, out] += tree.predict_binned(Xb)[:, 0]
-        return pred
-
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, spread)``, both ``(n, n_outputs)``.
-
-        The mean is :meth:`predict`'s output, untouched; the spread is
-        the half-width between the highest and lowest fitted quantile
-        heads, clipped at zero (crossed quantile estimates collapse to
-        zero spread rather than going negative).
-        """
-        if self.binner_ is None:
-            raise RuntimeError("predict called before fit")
-        Xb = self.binner_.transform(np.asarray(X, dtype=np.float64))
-        return self.predict_binned_with_uncertainty(Xb)
-
-    def predict_binned_with_uncertainty(
-        self, Xb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, spread)`` from pre-binned features."""
-        if not self.quantile_trees_:
-            raise RuntimeError(
-                "model has no quantile heads; construct with "
-                "quantile_heads=(lo, hi) to enable uncertainty"
-            )
-        mean = self.predict_binned(Xb)
-        levels = sorted(self.quantile_trees_)
-        lo = self.predict_quantile_binned(levels[0], Xb)
-        hi = self.predict_quantile_binned(levels[-1], Xb)
-        spread = np.clip((hi - lo) / 2.0, 0.0, None)
-        return mean, spread
-
-    def _flat_ensemble(self) -> FlatEnsemble:
-        key = tuple(t for round_trees in self.trees_ for t in round_trees)
-        cached = self._flat_cache
+    def _flat_ensemble(self, head: float | None = None) -> FlatEnsemble:
+        """The flat stack of the main ensemble (``head=None``) or of
+        quantile head *head*, rebuilt whenever its trees change."""
+        rounds = self.trees_ if head is None else self.quantile_trees_[head][1]
+        key = tuple(t for round_trees in rounds for t in round_trees)
+        cached = (self._flat_cache if head is None
+                  else self._head_flat_cache.get(head))
         if cached is not None and cached[0] == key:
             return cached[1]
         flat = FlatEnsemble(list(key))
-        self._flat_cache = (key, flat)
+        if head is None:
+            self._flat_cache = (key, flat)
+        else:
+            self._head_flat_cache = {**self._head_flat_cache,
+                                     head: (key, flat)}
         return flat
 
     def __getstate__(self) -> dict:
@@ -422,6 +430,7 @@ class GradientBoostedTrees:
         # leak one dead FlatEnsemble per swap.
         state = self.__dict__.copy()
         state["_flat_cache"] = None
+        state.pop("_head_flat_cache", None)
         return state
 
     # ------------------------------------------------------------------

@@ -65,13 +65,18 @@ class DecisionTreeRegressor:
         if self.tree_ is None or self.binner_ is None:
             raise RuntimeError("predict called before fit")
         Xb = self.binner_.transform(np.asarray(X, dtype=np.float64))
-        return self.tree_.predict_binned(Xb)
+        return self.predict_binned(Xb)
 
     def predict_binned(self, Xb: np.ndarray) -> np.ndarray:
-        """Predict from pre-binned features (skips ``binner_.transform``)."""
+        """Predict from pre-binned features (skips ``binner_.transform``).
+
+        Routes through the same flat kernel as the ensembles; a
+        one-tree stack is cheap enough to build per call.
+        """
         if self.tree_ is None:
             raise RuntimeError("predict called before fit")
-        return self.tree_.predict_binned(np.asarray(Xb))
+        flat = FlatEnsemble([self.tree_])
+        return flat.values[flat.predict_leaves(np.asarray(Xb))[0]]
 
     def feature_importances(self) -> np.ndarray:
         """Average-gain importances (normalized to sum to 1)."""
@@ -170,51 +175,25 @@ class RandomForestRegressor:
     #: Forests always carry an uncertainty estimate: the bagging spread.
     has_uncertainty = True
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Mean prediction over trees; shape ``(n, n_outputs)``."""
-        return self.predict_per_tree(X).mean(axis=0)
+    def predict(self, X: np.ndarray, *, uncertainty: bool = False):
+        """Mean prediction over trees; shape ``(n, n_outputs)``.
 
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, std)`` over trees, each ``(n, n_outputs)``.
-
-        The mean is computed by the same ``per_tree.mean(axis=0)``
-        expression as :meth:`predict`, so it is bit-identical to the
-        plain prediction — uncertainty is a second output, never a
-        different answer.
+        Bins *X* once and defers to :meth:`predict_binned`.
         """
-        per_tree = self.predict_per_tree(X)
-        return per_tree.mean(axis=0), per_tree.std(axis=0)
-
-    def predict_binned_with_uncertainty(
-        self, Xb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, std)`` over trees from pre-binned features."""
-        per_tree = self.predict_binned_per_tree(Xb)
-        return per_tree.mean(axis=0), per_tree.std(axis=0)
-
-    def predict_per_tree(self, X: np.ndarray) -> np.ndarray:
-        """Every tree's prediction; shape ``(n_trees, n, n_outputs)``.
-
-        The spread across trees is the standard bagging uncertainty
-        estimate (used by :meth:`repro.core.CrossArchPredictor.
-        predict_with_uncertainty`)."""
         if not self.trees_ or self.binner_ is None:
             raise RuntimeError("predict called before fit")
         Xb = self.binner_.transform(np.asarray(X, dtype=np.float64))
-        return self.predict_binned_per_tree(Xb)
+        return self.predict_binned(Xb, uncertainty=uncertainty)
 
-    def predict_binned(self, Xb: np.ndarray) -> np.ndarray:
-        """Mean prediction from pre-binned features; ``(n, n_outputs)``."""
-        return self.predict_binned_per_tree(Xb).mean(axis=0)
-
-    def predict_binned_per_tree(self, Xb: np.ndarray) -> np.ndarray:
-        """Per-tree predictions from pre-binned features.
+    def predict_binned(self, Xb: np.ndarray, *, uncertainty: bool = False):
+        """Mean prediction from pre-binned features; ``(n, n_outputs)``.
 
         All trees are walked in one flat vectorized pass; the gathered
         leaf values are bit-identical to stacking each tree's own
-        ``predict_binned`` output.
+        ``predict_binned`` output.  With ``uncertainty=True`` returns
+        ``(mean, std)`` over trees — the standard bagging uncertainty
+        estimate; the mean is the same ``mean(axis=0)`` of the same
+        stack, so it is bit-identical to the plain prediction.
         """
         if not self.trees_:
             raise RuntimeError("predict called before fit")
@@ -225,8 +204,9 @@ class RandomForestRegressor:
         else:
             flat = FlatEnsemble(self.trees_)
             self._flat_cache = (key, flat)
-        leaves = flat.predict_leaves(np.asarray(Xb))
-        return flat.values[leaves]
+        per_tree = flat.values[flat.predict_leaves(np.asarray(Xb))]
+        mean = per_tree.mean(axis=0)
+        return (mean, per_tree.std(axis=0)) if uncertainty else mean
 
     def __getstate__(self) -> dict:
         # Never pickle the derived flat cache: a deserialized copy's

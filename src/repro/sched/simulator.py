@@ -99,8 +99,7 @@ class SimStats:
     Frozen so a consumer can hold a reference across runs without it
     mutating underneath, and schema'd so the telemetry counters and
     ``benchmarks/test_perf_sched.py`` cannot silently drift: the key set
-    is pinned by test, and dict-style access (``stats["sched_events"]``)
-    is kept for existing callers.
+    is pinned by test.
     """
 
     wakeups: int = 0
@@ -115,11 +114,6 @@ class SimStats:
     def sched_events(self) -> int:
         """Wakeups + starts: the events/sec throughput numerator."""
         return self.wakeups + self.starts
-
-    def __getitem__(self, key: str) -> int:
-        if key not in self.KEYS:
-            raise KeyError(key)
-        return getattr(self, key)
 
     def as_dict(self) -> dict[str, int]:
         return {key: getattr(self, key) for key in self.KEYS}

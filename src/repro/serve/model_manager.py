@@ -241,8 +241,8 @@ class ModelManager:
         probe_row[0, len(COUNTER_FEATURES)] = 1.0  # one-hot a source
         probe_desc = descriptor_from_spec(MACHINES[SYSTEM_ORDER[0]])
         try:
-            scores, spread = zeroshot.predict_wide_with_uncertainty(
-                probe_row, [probe_desc]
+            scores, spread = zeroshot.predict_wide(
+                probe_row, [probe_desc], uncertainty=True
             )
         except TypeError as exc:
             raise ArtifactError(

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
+from repro.dataset.features import featurize_record
 from repro.errors import ReproError, ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import MicroBatcher
@@ -230,30 +231,12 @@ class PredictionService:
     @staticmethod
     def _featurize(record: dict, model: ActiveModel) -> np.ndarray:
         """One record -> one feature row, the predict_record way."""
-        from repro.dataset.features import (
-            REQUIRED_RECORD_FIELDS,
-            derive_feature_frame,
-        )
-        from repro.frame import Frame
-
         predictor = model.predictor
         if predictor.normalizer is None:
             raise ServeError("model has no fitted normalizer", code=500,
                              reason="bad-model")
-        missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
-        if missing:
-            raise KeyError(f"record is missing fields: {sorted(missing)}")
-        bad = [
-            f for f in REQUIRED_RECORD_FIELDS
-            if not np.isfinite(np.asarray(record[f], dtype=np.float64))
-        ]
-        if bad:
-            raise ValueError(f"record has non-finite values: {sorted(bad)}")
-        frame = Frame.from_records([record])
-        featured, _ = derive_feature_frame(
-            frame, normalizer=predictor.normalizer
-        )
-        return featured.to_matrix(list(predictor.feature_columns))[0]
+        return featurize_record(record, predictor.normalizer,
+                                predictor.feature_columns)
 
     # ------------------------------------------------------------------
     # Zero-shot scoring (inline machine descriptors)
@@ -284,8 +267,8 @@ class PredictionService:
                         f"{model.n_features}"
                     )
                 row = np.asarray(request.features, dtype=np.float64)
-                scores, spread = zeroshot.predict_wide_with_uncertainty(
-                    row[None, :], machines
+                scores, spread = zeroshot.predict_wide(
+                    row[None, :], machines, uncertainty=True
                 )
                 scores, spread = scores[0], spread[0]
             else:

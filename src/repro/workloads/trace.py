@@ -41,7 +41,7 @@ def build_workload(
     predicted for speed).  ``true_rpv`` is always attached.
 
     *with_uncertainty* additionally attaches ``rpv_std`` from the
-    predictor's ``predict_with_uncertainty`` (for the risk-aware
+    predictor's ``predict(X, uncertainty=True)`` (for the risk-aware
     strategy).  The mean side of that call is bit-identical to
     ``predict``, so enabling it never changes ``predicted_rpv``.
 
@@ -86,7 +86,7 @@ def build_workload(
     if predictor is not None:
         X = dataset.X()[source_rows]
         if with_uncertainty:
-            predicted, pred_std = predictor.predict_with_uncertainty(X)
+            predicted, pred_std = predictor.predict(X, uncertainty=True)
         else:
             predicted = predictor.predict(X)
 

@@ -108,7 +108,7 @@ class TestPredictor:
             small_dataset, model="forest", n_estimators=10, max_depth=8
         )
         X = small_dataset.X()[:20]
-        mean, std = predictor.predict_with_uncertainty(X)
+        mean, std = predictor.predict(X, uncertainty=True)
         assert mean.shape == std.shape == (20, 4)
         assert (std >= 0).all()
         np.testing.assert_allclose(mean, predictor.predict(X))
@@ -116,7 +116,7 @@ class TestPredictor:
     def test_uncertainty_unavailable_for_xgboost(self, trained_xgb,
                                                  small_dataset):
         with pytest.raises(TypeError):
-            trained_xgb.predict_with_uncertainty(small_dataset.X()[:2])
+            trained_xgb.predict(small_dataset.X()[:2], uncertainty=True)
 
 
 class TestTrainingPipeline:

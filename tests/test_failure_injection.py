@@ -100,7 +100,8 @@ class TestCorruptedTables:
                                                        trained_xgb):
         frame = Frame({"branch_intensity": [0.1]})
         with pytest.raises(KeyError):
-            trained_xgb.predict_frame(frame)
+            trained_xgb.predict(
+                frame.to_matrix(list(trained_xgb.feature_columns)))
 
     def test_predict_record_missing_fields(self, trained_xgb):
         with pytest.raises(KeyError):

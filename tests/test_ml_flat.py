@@ -10,9 +10,12 @@ are gathered (not recomputed), the result must be *bit-identical* —
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import native
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.serialization import model_from_dict, model_to_dict
@@ -88,8 +91,10 @@ class TestForestFlatPredict:
                                    random_state=3).fit(X, Y)
         Xb = rf.binner_.transform(X)
         stacked = np.stack([t.predict_binned(Xb) for t in rf.trees_])
-        assert np.array_equal(rf.predict_binned_per_tree(Xb), stacked)
-        assert np.array_equal(rf.predict_per_tree(X), stacked)
+        for mean, std in (rf.predict_binned(Xb, uncertainty=True),
+                          rf.predict(X, uncertainty=True)):
+            assert np.array_equal(mean, stacked.mean(axis=0))
+            assert np.array_equal(std, stacked.std(axis=0))
         assert np.array_equal(rf.predict(X), stacked.mean(axis=0))
 
     def test_flat_cache_invalidated_on_tree_swap(self, data):
@@ -146,6 +151,52 @@ class TestBoostingFlatPredict:
         ):
             restored = model_from_dict(model_to_dict(model))
             assert np.array_equal(restored.predict(X), model.predict(X))
+
+
+def _quantile_reference_predict(gbt, q, Xb):
+    """One quantile head walked tree by tree, in training order."""
+    base, rounds = gbt.quantile_trees_[q]
+    pred = np.tile(base, (Xb.shape[0], 1))
+    for round_trees in rounds:
+        for out, tree in enumerate(round_trees):
+            pred[:, out] += tree.predict_binned(Xb)[:, 0]
+    return pred
+
+
+class TestQuantileHeadsFlatPredict:
+    @pytest.fixture(scope="class", params=("per_output", "multi_output_tree"))
+    def headed(self, data, request):
+        X, Y = data
+        return GradientBoostedTrees(
+            n_estimators=12, max_depth=4, multi_strategy=request.param,
+            quantile_heads=(0.1, 0.5, 0.9), n_quantile_rounds=15,
+            random_state=0,
+        ).fit(X, Y)
+
+    @pytest.mark.parametrize("kernel", ("default", "numpy"))
+    def test_spread_exact_vs_per_tree_heads(self, data, headed, kernel):
+        X, _ = data
+        Xb = headed.binner_.transform(X)
+        saved = native._state
+        if kernel == "numpy":
+            native._state = (None, "forced off for equality test")
+        try:
+            mean, spread = headed.predict_binned(Xb, uncertainty=True)
+        finally:
+            native._state = saved
+        lo = _quantile_reference_predict(headed, 0.1, Xb)
+        hi = _quantile_reference_predict(headed, 0.9, Xb)
+        assert np.array_equal(spread, np.clip((hi - lo) / 2.0, 0.0, None))
+        assert np.array_equal(mean, _gbt_reference_predict(headed, Xb))
+        assert spread.any()
+
+    def test_head_stacks_survive_pickle(self, data, headed):
+        X, _ = data
+        expected = headed.predict(X, uncertainty=True)
+        clone = pickle.loads(pickle.dumps(headed))
+        assert "_head_flat_cache" not in clone.__dict__
+        for got, want in zip(clone.predict(X, uncertainty=True), expected):
+            assert np.array_equal(got, want)
 
 
 class TestTreeNodeStatCaches:

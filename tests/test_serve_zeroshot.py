@@ -11,6 +11,7 @@ refuse such requests with a typed 503 instead of guessing.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ class TestZeroShotServing:
         )
         assert response["tier"] == "model"
         assert len(response["rpv"]) == len(SYSTEM_ORDER)
+
+    def test_non_finite_counter_is_typed_400(self, zs_registry, payload):
+        """A NaN counter has no zero-shot degradation tier to fall into:
+        the wire answer is a typed 400, not a confident 200."""
+        record = dict(payload["record"], branch=float("nan"))
+        body = json.dumps({
+            "record": record,
+            "machines": [_descriptor_payload("Ruby")],
+        }).encode()
+        service = make_service(zs_registry[0])
+        status, response = asyncio.run(
+            service._route("POST", "/predict", body)
+        )
+        assert status == 400
+        assert response["reason"] == "bad-payload"
+        assert "non-finite" in response["error"]
 
     def test_ranking_orders_by_score(self, zs_registry, payload):
         service = make_service(zs_registry[0])

@@ -3,7 +3,7 @@
 Two invariants the whole refactor hangs on:
 
 * attaching uncertainty NEVER changes the point predictions — the mean
-  side of every ``*_with_uncertainty`` call is **bit-identical**
+  side of every ``uncertainty=True`` call is **bit-identical**
   (``np.array_equal``, not ``allclose``) to the plain call, so all
   existing figures/benchmarks stay byte-stable;
 * the risk-aware strategy degrades gracefully: confident predictions
@@ -29,6 +29,7 @@ from repro.sched.strategies import (
     RiskAwareStrategy,
     strategy_by_name,
 )
+from repro.serve.loadgen import synthesize_payloads
 from repro.workloads.trace import build_workload
 
 
@@ -84,7 +85,7 @@ class TestBoostingQuantileHeads:
             n_estimators=15, max_depth=4,
             quantile_heads=(0.25, 0.75), n_quantile_rounds=15,
         ).fit(X, Y)
-        mean, spread = model.predict_with_uncertainty(X_test)
+        mean, spread = model.predict(X_test, uncertainty=True)
         assert np.array_equal(mean, model.predict(X_test))
         assert spread.shape == mean.shape
         assert (spread >= 0).all()
@@ -95,7 +96,7 @@ class TestBoostingQuantileHeads:
         model = GradientBoostedTrees(n_estimators=5, max_depth=3)
         model.fit(X[:200], Y[:200])
         with pytest.raises(RuntimeError, match="quantile heads"):
-            model.predict_with_uncertainty(X_test)
+            model.predict(X_test, uncertainty=True)
 
     @pytest.mark.parametrize("heads,error", [
         ((0.5,), "2 levels"),
@@ -119,7 +120,7 @@ class TestForestUncertainty:
         forest = RandomForestRegressor(n_estimators=8, max_depth=6,
                                        random_state=0).fit(X, Y)
         assert forest.has_uncertainty
-        mean, spread = forest.predict_with_uncertainty(X_test)
+        mean, spread = forest.predict(X_test, uncertainty=True)
         assert np.array_equal(mean, forest.predict(X_test))
         assert (spread >= 0).all() and spread.any()
 
@@ -134,7 +135,7 @@ class TestPredictorThreading:
                                 split_indices):
         _, test_rows = split_indices
         X = small_dataset.X()[test_rows]
-        mean, spread = xgb_with_heads.predict_with_uncertainty(X)
+        mean, spread = xgb_with_heads.predict(X, uncertainty=True)
         assert np.array_equal(mean, xgb_with_heads.predict(X))
         assert spread.shape == mean.shape
         assert (spread >= 0).all()
@@ -143,27 +144,33 @@ class TestPredictorThreading:
                                        small_dataset, split_indices):
         _, test_rows = split_indices
         Xb = xgb_with_heads.pack(small_dataset.X()[test_rows])
-        mean, spread = xgb_with_heads.predict_packed_with_uncertainty(Xb)
+        mean, spread = xgb_with_heads.predict_packed(Xb, uncertainty=True)
         assert np.array_equal(mean, xgb_with_heads.predict_packed(Xb))
         assert (spread >= 0).all()
+
+    def test_record_mean_bit_identical(self, xgb_with_heads):
+        record = synthesize_payloads(1, seed=3)[0]["record"]
+        rpv, spread = xgb_with_heads.predict_record(record,
+                                                    uncertainty=True)
+        assert np.array_equal(rpv, xgb_with_heads.predict_record(record))
+        assert spread.shape == rpv.shape and (spread >= 0).all()
 
     def test_packed_rejects_wrong_dtype(self, xgb_with_heads,
                                         small_dataset):
         X = small_dataset.X()[:4]
         with pytest.raises(PackingError, match="uint8"):
-            xgb_with_heads.predict_packed_with_uncertainty(
-                X.astype(np.float64)
-            )
+            xgb_with_heads.predict_packed(X.astype(np.float64),
+                                          uncertainty=True)
 
     def test_packed_rejects_wrong_width(self, xgb_with_heads):
         bad = np.zeros((3, len(FEATURE_COLUMNS) + 2), dtype=np.uint8)
         with pytest.raises(PackingError, match="expected"):
-            xgb_with_heads.predict_packed_with_uncertainty(bad)
+            xgb_with_heads.predict_packed(bad, uncertainty=True)
 
     def test_plain_xgboost_raises_with_remedy(self, trained_xgb,
                                               small_dataset):
         with pytest.raises(TypeError, match="quantile_heads"):
-            trained_xgb.predict_with_uncertainty(small_dataset.X()[:2])
+            trained_xgb.predict(small_dataset.X()[:2], uncertainty=True)
 
 
 class TestWorkloadUncertainty:

@@ -4,7 +4,7 @@ What must hold:
 
 * it scores machines through their descriptors, so a machine held out
   of training (or invented on the spot) still gets a prediction;
-* ``predict_with_uncertainty``'s mean is bit-identical to ``predict``;
+* ``predict(X, uncertainty=True)``'s mean is bit-identical to ``predict``;
 * the wide-row expansion path (``predict_wide`` — the serve path)
   agrees with scoring long rows directly.
 """
@@ -69,7 +69,7 @@ class TestPredict:
 
     def test_uncertainty_mean_bit_identical(self, zeroshot, longform):
         X = longform.X()[:64]
-        mean, spread = zeroshot.predict_with_uncertainty(X)
+        mean, spread = zeroshot.predict(X, uncertainty=True)
         assert np.array_equal(mean, zeroshot.predict(X))
         assert spread.shape == mean.shape
         assert (spread >= 0).all()
@@ -79,7 +79,7 @@ class TestPredict:
             longform, model="forest", n_estimators=8, max_depth=6,
         )
         X = longform.X()[:16]
-        mean, spread = forest.predict_with_uncertainty(X)
+        mean, spread = forest.predict(X, uncertainty=True)
         assert np.array_equal(mean, forest.predict(X))
         assert (spread >= 0).all() and spread.any()
 
@@ -88,7 +88,7 @@ class TestPredict:
                                                       model="linear")
         assert not linear.has_uncertainty
         with pytest.raises(TypeError, match="uncertainty"):
-            linear.predict_with_uncertainty(longform.X()[:2])
+            linear.predict(longform.X()[:2], uncertainty=True)
 
 
 class TestWideExpansion:
@@ -105,8 +105,8 @@ class TestWideExpansion:
 
     def test_wide_uncertainty_shapes(self, zeroshot, small_dataset):
         descs = _descriptors(("Ruby", "Corona"))
-        scores, spread = zeroshot.predict_wide_with_uncertainty(
-            small_dataset.X()[:5], descs
+        scores, spread = zeroshot.predict_wide(
+            small_dataset.X()[:5], descs, uncertainty=True
         )
         assert scores.shape == spread.shape == (5, 2)
         assert (spread >= 0).all()
@@ -128,8 +128,8 @@ class TestZeroShotGeneralization:
         assert "Corona" not in holdout_zeroshot.train_targets
         rows = small_dataset.frame["machine"].astype(str) != "Corona"
         X = small_dataset.X()[np.flatnonzero(rows)[:16]]
-        scores, spread = holdout_zeroshot.predict_wide_with_uncertainty(
-            X, _descriptors()
+        scores, spread = holdout_zeroshot.predict_wide(
+            X, _descriptors(), uncertainty=True
         )
         corona = list(SYSTEM_ORDER).index("Corona")
         assert np.isfinite(scores[:, corona]).all()
@@ -151,6 +151,18 @@ class TestZeroShotGeneralization:
         scores, spread = zeroshot.score_record(record, _descriptors())
         assert scores.shape == spread.shape == (len(SYSTEM_ORDER),)
         assert np.isfinite(scores).all()
+
+    def test_score_record_rejects_non_finite_counter(self, zeroshot):
+        """A garbled counter must fail loudly, exactly like
+        CrossArchPredictor.predict_record — never bin into a confident
+        finite answer."""
+        record = dict(synthesize_payloads(1, seed=3)[0]["record"])
+        record["branch"] = float("nan")
+        with pytest.raises(ValueError, match="non-finite.*branch"):
+            zeroshot.score_record(record, _descriptors())
+        del record["branch"]
+        with pytest.raises(KeyError, match="branch"):
+            zeroshot.score_record(record, _descriptors())
 
     def test_ranking_consistency_with_rel_time(self, zeroshot, longform):
         """argmin over machine scores = predicted-fastest machine; the
