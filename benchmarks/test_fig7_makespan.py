@@ -7,10 +7,8 @@ Paper: Model-based assignment gives the lowest makespan (0.87 h for the
 
 from __future__ import annotations
 
-import os
-
 from repro.frame import Frame
-from repro.sched import ReplicaSpec, makespan, run_replicas
+from repro.sched import Scheduler, makespan, strategy_by_name
 from repro.workloads import build_workload
 
 from conftest import PAPER_SCALE, report
@@ -18,21 +16,15 @@ from conftest import PAPER_SCALE, report
 #: Jobs in the scheduling workload (paper: 50,000).
 N_JOBS = 50_000 if PAPER_SCALE else 10_000
 STRATEGIES = ("round_robin", "random", "user_rr", "model", "oracle")
-#: Worker processes for the per-strategy replicas.  Each strategy's
-#: simulation is independent, so sharding them is a pure wall-time knob
-#: (run_replicas merges in spec order, bit-identical to sequential).
-WORKERS = int(os.environ.get("REPRO_FIG7_WORKERS", "1"))
 
 
 def _run_all(dataset, predictor):
     jobs = build_workload(dataset, n_jobs=N_JOBS, seed=7,
                           predictor=predictor)
-    specs = [ReplicaSpec(strategy=name, seed=11, label=name)
-             for name in STRATEGIES]
-    replica_results = run_replicas(list(jobs), specs, workers=WORKERS)
     rows = []
     results = {}
-    for name, result in zip(STRATEGIES, replica_results):
+    for name in STRATEGIES:
+        result = Scheduler(strategy_by_name(name, seed=11)).run(jobs)
         results[name] = result
         rows.append(
             {

@@ -22,7 +22,7 @@ from repro.arch.machines import MACHINES, SYSTEM_ORDER
 from repro.core.zeroshot import DescriptorConditionedPredictor
 from repro.dataset.longform import build_longform
 from repro.frame import Frame
-from repro.sched import ReplicaSpec, makespan, run_replicas
+from repro.sched import Scheduler, makespan, strategy_by_name
 from repro.workloads import build_workload
 
 from conftest import PAPER_SCALE, report
@@ -66,11 +66,9 @@ def _run_all(dataset):
     jobs = build_workload(dataset, n_jobs=N_JOBS, seed=9,
                           predictor=ZeroShotRPVAdapter(head),
                           with_uncertainty=True)
-    specs = [ReplicaSpec(strategy=name, seed=11, label=name)
-             for name in STRATEGIES]
-    results = run_replicas(list(jobs), specs, workers=1)
     rows = []
-    for name, result in zip(STRATEGIES, results):
+    for name in STRATEGIES:
+        result = Scheduler(strategy_by_name(name, seed=11)).run(jobs)
         rows.append({
             "strategy": name,
             "makespan_hours": makespan(result) / 3600.0,

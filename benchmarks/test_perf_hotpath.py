@@ -1,6 +1,6 @@
 """Microbenchmark: the perf-campaign hot paths, gated by speedup ratios.
 
-Covers the three optimizations the self-profiler (``repro perf``)
+Covers the two inference optimizations the self-profiler (``repro perf``)
 pointed at, each verified for exactness before any throughput claim:
 
 * **native tree routing** — the compiled ``route_leaves`` kernel vs the
@@ -8,9 +8,7 @@ pointed at, each verified for exactness before any throughput claim:
   leaves, then the speedup ratio);
 * **uint8 packed predict** — ``CrossArchPredictor.predict_packed`` on a
   pre-packed matrix vs ``predict`` re-binning floats every call
-  (bit-identical predictions);
-* **sharded replicas** — ``run_replicas`` across processes vs inline,
-  pinned bit-identical through ``schedule_digest``.
+  (bit-identical predictions).
 
 Ratios land in ``benchmarks/BENCH_hotpath.json``.  Like
 ``BENCH_sched.json``, the committed file is read before being
@@ -28,11 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import native
-from repro.arch.machines import SYSTEM_ORDER
 from repro.core.predictor import CrossArchPredictor
 from repro.dataset.generate import generate_dataset
 from repro.ml.boosting import GradientBoostedTrees
-from repro.sched import Job, ReplicaSpec, run_replicas, schedule_digest
 
 BENCH_PATH = Path(__file__).parent / "BENCH_hotpath.json"
 
@@ -47,26 +43,6 @@ def _baseline() -> dict:
     if BENCH_PATH.exists():
         return json.loads(BENCH_PATH.read_text())
     return {}
-
-
-def _replica_jobs(n: int, seed: int = 7) -> list[Job]:
-    rng = np.random.default_rng(seed)
-    jobs = []
-    t = 0.0
-    for i in range(n):
-        t += float(rng.exponential(4.0))
-        rpv = rng.uniform(0.5, 3.0, size=len(SYSTEM_ORDER))
-        base = float(rng.uniform(10.0, 600.0))
-        jobs.append(Job(
-            job_id=i, app="CoMD", uses_gpu=bool(rng.integers(2)),
-            nodes_required=int(rng.integers(1, 16)),
-            runtimes={s: base * float(r)
-                      for s, r in zip(SYSTEM_ORDER, rpv)},
-            submit_time=t,
-            predicted_rpv=rpv * rng.uniform(0.9, 1.1, size=rpv.shape),
-            true_rpv=rpv,
-        ))
-    return jobs
 
 
 def test_perf_hotpath():
@@ -133,29 +109,6 @@ def test_perf_hotpath():
         "wall_s_unpacked": round(t_float, 4),
         "wall_s_packed": round(t_packed, 4),
         "speedup_vs_unpacked": round(t_float / t_packed, 2),
-    }
-
-    # --- sharded replicas: bit-identical ordered merge -----------------
-    jobs = _replica_jobs(1500)
-    specs = [ReplicaSpec(strategy=s, seed=11,
-                         node_counts={m: 32 for m in SYSTEM_ORDER})
-             for s in ("round_robin", "random", "user_rr", "model")]
-    t0 = time.perf_counter()
-    sequential = run_replicas(jobs, specs, workers=1)
-    t_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sharded = run_replicas(jobs, specs, workers=2)
-    t_shard = time.perf_counter() - t0
-    digests_seq = [schedule_digest(r) for r in sequential]
-    digests_shard = [schedule_digest(r) for r in sharded]
-    assert digests_seq == digests_shard, (
-        "sharded replica results differ from the sequential merge")
-    results["replica_shard"] = {
-        "n_jobs": len(jobs),
-        "n_replicas": len(specs),
-        "wall_s_sequential": round(t_seq, 3),
-        "wall_s_sharded": round(t_shard, 3),
-        "digest": digests_seq[0][:16],
     }
 
     # --- record + ratio gates ------------------------------------------

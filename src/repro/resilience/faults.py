@@ -17,9 +17,10 @@ draws perturb another's:
   prediction, exercising the :class:`~repro.resilience.degrade.\
 ResilientPredictor` degradation chain.
 
-The ``none`` preset injects nothing; the simulator takes the fault-free
-fast path for it, so a no-fault run is bit-identical to the plain
-simulator.
+The ``none`` preset injects nothing: the simulator adds no fault
+events for it, so a no-fault run is the plain simulation — same
+schedule, same event-loop counters — plus a zeroed
+``extra["faults"]`` summary.
 """
 
 from __future__ import annotations

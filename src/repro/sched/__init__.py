@@ -34,7 +34,6 @@ from repro.sched.policies import (
     WidestFirstPolicy,
     policy_by_name,
 )
-from repro.sched.replicas import ReplicaSpec, run_replicas, schedule_digest
 from repro.sched.simulator import ScheduleResult, Scheduler, SimStats
 from repro.sched.strategies import (
     STRATEGIES,
@@ -55,9 +54,6 @@ __all__ = [
     "Scheduler",
     "ScheduleResult",
     "SimStats",
-    "ReplicaSpec",
-    "run_replicas",
-    "schedule_digest",
     "RoundRobinStrategy",
     "RandomStrategy",
     "UserRRStrategy",

@@ -13,8 +13,8 @@ estimates), as in the paper.
 
 Fast engine
 -----------
-Both the fault-free and the failure-aware simulation run on one event
-engine whose hot paths are incremental instead of recomputed:
+Every simulation runs on one event loop whose hot paths are incremental
+instead of recomputed:
 
 * **Queue** — entries are ``(R1 key, job_id, job)`` triples kept in
   sorted order; R1/R2 keys are computed *once* per job at admission and
@@ -41,15 +41,16 @@ arrival patterns, and fault profiles.  Policy keys must therefore be
 total orders (all built-in policies tie-break on job id) and pure
 functions of the job, which the policies module already guarantees.
 
-Failure-aware mode: passing a :class:`repro.resilience.FaultInjector`
-(``faults=``) extends the event loop with node failures, node
-recoveries, and job crashes as first-class events alongside starts and
-finishes.  Killed jobs are resubmitted under a
-:class:`repro.resilience.RetryPolicy` (bounded attempts, backoff,
-optional checkpoint/restart); nodes go offline and recover via the
+Faults only add events: passing a :class:`repro.resilience.FaultInjector`
+that can fire (``faults=``) puts node failures, node recoveries, job
+crashes, retry requeues and attempt-tagged finishes on an event heap
+that the same loop drains after each time advance.  Killed jobs are
+resubmitted under a :class:`repro.resilience.RetryPolicy` (bounded
+attempts, backoff, optional checkpoint/restart) and re-enter the queue
+through the arrival admission; nodes go offline and recover via the
 :class:`~repro.sched.machines.MachineState` availability transitions.
-With no injector the fault branches never execute, so fault support is
-zero-cost (bit-identical output) when off.
+With no injector, or a null one, the heap stays empty and the loop ends
+once every job has started, so fault support costs nothing when off.
 """
 
 from __future__ import annotations
@@ -158,13 +159,15 @@ class Scheduler:
         failure-aware mode).  Off by default (the log grows with the
         workload).
     faults:
-        A :class:`repro.resilience.FaultInjector`.  When given (and not
-        null), the simulation runs the failure-aware event loop; None
-        (default) runs the fault-free loop.
+        A :class:`repro.resilience.FaultInjector`.  One that can fire
+        adds its failure, recovery, crash and requeue events to the
+        event loop; a null one (the ``none`` profile) leaves the loop
+        fault-free.  Either way ``result.extra["faults"]`` carries the
+        fault summary.  None (default) is the paper's perfect world.
     retry:
         :class:`repro.resilience.RetryPolicy` governing resubmission of
         killed jobs; defaults to unlimited attempts with exponential
-        backoff.  Only consulted in failure-aware mode.
+        backoff.  Only consulted when faults can fire.
 
     Attributes
     ----------
@@ -225,10 +228,7 @@ class Scheduler:
             jobs=len(jobs),
             faulty=self.faults is not None,
         ):
-            if self.faults is not None:
-                result = self._run_faulty(jobs)
-            else:
-                result = self._run_reliable(jobs)
+            result = self._run(jobs)
         # Counters are fed once per run from the loop's own tallies, so
         # the event loop itself carries zero telemetry cost.
         if telemetry.metrics_enabled():
@@ -243,7 +243,7 @@ class Scheduler:
             ).observe(len(jobs))
         return result
 
-    # -- shared engine pieces ------------------------------------------
+    # ------------------------------------------------------------------
     def _prepare(self, jobs: list[Job]):
         """Sort arrivals and precompute the per-job R1/R2 policy keys.
 
@@ -261,9 +261,13 @@ class Scheduler:
         r2k = {j.job_id: r2_key(j) for j in jobs}
         return arrivals, r1k, r2k, r1k == r2k
 
+
     # ------------------------------------------------------------------
-    def _run_reliable(self, jobs: list[Job]) -> ScheduleResult:
-        """The fault-free loop (the paper's perfect world)."""
+    def _run(self, jobs: list[Job]) -> ScheduleResult:
+        """The event loop: Algorithm 1 over arrivals and completions,
+        plus fault events when the injector can fire."""
+        injector = self.faults
+        faulty = injector is not None and not injector.is_null
         arrivals, r1k, r2k, same_order = self._prepare(jobs)
         arrival_idx = 0
         cluster = self.cluster
@@ -281,12 +285,15 @@ class Scheduler:
         walltime_factor = self.walltime_factor
         trace = self.trace
         # A schedule pass may be elided (see `can_skip` below) only when
-        # the strategy has no call-order-dependent state — the protocol
-        # promises stateful strategies the reference call sequence — and
-        # tracing is off (a skipped pass would drop its "reserve" event).
-        skippable = stateless and not trace
+        # the strategy has no call-order-dependent state (the protocol
+        # promises stateful strategies the reference call sequence),
+        # tracing is off (a skipped pass would drop its "reserve" event),
+        # and no fault can fire (kills, recoveries and requeues would
+        # each have to invalidate the proof).
+        skippable = stateless and not trace and not faulty
 
         n = len(jobs)
+        by_id = {j.job_id: j for j in jobs}
         # Queue of (R1 key, job_id, job) triples in sorted order from
         # `head_idx` on; keys are total so the job object is never
         # compared.  `interior_stale` counts lazily-deleted entries at
@@ -294,16 +301,19 @@ class Scheduler:
         # until the next compaction).  Invariant: every such entry lies
         # inside ``queue[head_idx : head_idx + 1 + window_span]`` —
         # backfills only happen inside the window, the head cursor never
-        # moves backwards, and arrivals are only inserted after
-        # compaction — so compaction is an O(window) splice instead of a
-        # whole-queue copy.
+        # moves backwards, and arrivals and retries are only inserted
+        # after compaction — so compaction is an O(window) splice instead
+        # of a whole-queue copy.
         queue: list[tuple] = []
         head_idx = 0
         interior_stale = 0
-        machines_out: dict[int, str] = {}
-        start_out: dict[int, float] = {}
+        # job -> (machine, start, end) of its live or finished attempt.
+        placed: dict[int, tuple[str, float, float]] = {}
         scheduled: set[int] = set()
         started = 0
+        # Jobs that need no further machine decision: started ones when
+        # no fault can fire, else finished or given-up ones.
+        resolved = 0
         backfilled = 0
         now = 0.0
         wakeups = 0
@@ -322,24 +332,153 @@ class Scheduler:
         # rejected stays rejected — the rerun is a no-op and is elided.
         can_skip = False
 
+        # Fault state; everything stays empty unless faults can fire.
+        # Event heap entries: (time, tiebreak, kind, a, b).
+        evq: list[tuple[float, int, str, int | str, int]] = []
+        ev_seq = 0
+        readmit: list[int] = []              # requeued, awaiting admission
+        attempts: dict[int, int] = {}        # job -> attempts started
+        progress: dict[int, float] = {}      # job -> work fraction done
+        running: dict[int, tuple[int, int]] = {}  # job -> (alloc id, attempt)
+        failed_perm: set[int] = set()
+        wasted = 0.0                         # node-seconds of lost work
+        node_failures = 0
+        job_crashes = 0
+        preemptions = 0                      # kills caused by node failures
+        retries = 0
+
+        def push(time: float, kind: str, a, b=0) -> None:
+            nonlocal ev_seq
+            heapq.heappush(evq, (time, ev_seq, kind, a, b))
+            ev_seq += 1
+
+        if faulty:
+            from repro.resilience.retry import RetryPolicy
+
+            retry = self.retry if self.retry is not None else RetryPolicy()
+            for m_name in cluster.names:
+                gap = injector.next_failure_gap(m_name)
+                if gap is not None:
+                    push(gap, "fail", m_name)
+
+        def remaining(jid: int) -> float:
+            """Work fraction left after checkpointed attempts."""
+            return max(0.0, 1.0 - progress[jid])
+
+        def resolve(jid: int) -> None:
+            """A job needs no further machine decision; its sticky
+            strategy-cache entries can be evicted."""
+            nonlocal resolved
+            resolved += 1
+            if release is not None:
+                release(jid)
+
         def start_job(job: Job, machine_name: str) -> None:
             nonlocal started
+            jid = job.job_id
             runtime = job.runtime_on(machine_name)
-            machines[machine_name].start(job.nodes_required, now + runtime)
-            machines_out[job.job_id] = machine_name
-            start_out[job.job_id] = now
-            scheduled.add(job.job_id)
+            if jid in progress:
+                runtime *= remaining(jid)
+            end = now + runtime
+            seq = machines[machine_name].start(job.nodes_required, end)
+            placed[jid] = (machine_name, now, end)
+            scheduled.add(jid)
             started += 1
-            if release is not None:
-                release(job.job_id)
+            if not faulty:
+                resolve(jid)
+                return
+            attempt = attempts.get(jid, 0) + 1
+            attempts[jid] = attempt
+            running[jid] = (seq, attempt)
+            push(end, "finish", jid, attempt)
+            crash_at = injector.crash_offset(jid, attempt, runtime)
+            if crash_at is not None:
+                push(now + crash_at, "crash", jid, attempt)
 
-        while len(start_out) < n:
-            # -- admit due arrivals ------------------------------------
-            if arrival_idx < n and arrivals[arrival_idx].submit_time <= now:
+        def kill(jid: int, cause: str) -> None:
+            """Terminate a running attempt and arrange its retry."""
+            nonlocal wasted, retries
+            seq, attempt = running.pop(jid)
+            m_name, start, _ = placed.pop(jid)
+            machines[m_name].cancel(seq)
+            job = by_id[jid]
+            elapsed = now - start
+            if retry.checkpoint:
+                progress[jid] = min(
+                    1.0,
+                    progress.get(jid, 0.0) + elapsed / job.runtime_on(m_name),
+                )
+            else:
+                wasted += job.nodes_required * elapsed
+            if trace:
+                events.append((now, cause, jid, m_name))
+            if retry.gives_up(attempt):
+                failed_perm.add(jid)  # stays in `scheduled`: never requeued
+                if trace:
+                    events.append((now, "give_up", jid, m_name))
+                resolve(jid)
+                return
+            retries += 1
+            push(now + retry.delay(attempt, jid), "requeue", jid)
+
+        def node_failure(m_name: str) -> None:
+            nonlocal node_failures, preemptions
+            machine = machines[m_name]
+            gap = injector.next_failure_gap(m_name)
+            if gap is not None:
+                push(now + gap, "fail", m_name)
+            if machine.usable_nodes == 0:
+                return  # already fully down; nothing left to break
+            if machine.free_nodes == 0:
+                # Every usable node is busy: the failing node takes its
+                # job down with it.  Deterministic victim: the running
+                # job with the most remaining work (latest end time).
+                victim = max(
+                    (jid for jid in running if placed[jid][0] == m_name),
+                    key=lambda jid: (placed[jid][2], jid),
+                )
+                preemptions += 1
+                kill(victim, "node_kill")
+            machine.take_offline(1)
+            node_failures += 1
+            if trace:
+                events.append((now, "node_fail", -1, m_name))
+            push(now + injector.repair_duration(m_name), "recover", m_name)
+
+        def fire(kind: str, a, b: int) -> None:
+            """Apply one fault-heap event due at `now`."""
+            nonlocal job_crashes
+            if kind == "finish" or kind == "crash":
+                info = running.get(a)
+                if info is None or info[1] != b:
+                    return  # the attempt it belonged to was killed
+                if kind == "finish":
+                    del running[a]
+                    resolve(a)
+                else:
+                    job_crashes += 1
+                    kill(a, "crash")
+            elif kind == "fail":
+                node_failure(a)
+            elif kind == "recover":
+                machines[a].bring_online(1)
+                if trace:
+                    events.append((now, "node_recover", -1, a))
+            else:  # "requeue": the retry re-enters through admission
+                readmit.append(a)
+                if trace:
+                    events.append((now, "requeue", a, ""))
+
+        while resolved < n:
+            # -- admit due arrivals and requeued retries -----------------
+            if readmit or (arrival_idx < n
+                           and arrivals[arrival_idx].submit_time <= now):
                 if interior_stale:
                     # Splice the stale entries out of the window region
                     # (equivalent to the reference engine's whole-queue
-                    # compaction by the invariant above).
+                    # compaction by the invariant above).  Requeued jobs
+                    # are still marked scheduled here, so a stale copy
+                    # of one goes too.
                     hi = head_idx + 1 + window_span
                     queue[head_idx:hi] = [
                         e for e in queue[head_idx:hi]
@@ -347,6 +486,10 @@ class Scheduler:
                     ]
                     interior_stale = 0
                     can_skip = False  # live entries shifted into the window
+                for jid in readmit:
+                    scheduled.discard(jid)
+                    insort(queue, (r1k[jid], jid, by_id[jid]), head_idx)
+                readmit.clear()
                 win_end = head_idx + 1 + window_span
                 qlen = len(queue)
                 while (arrival_idx < n
@@ -366,7 +509,7 @@ class Scheduler:
                         can_skip = False
                     arrival_idx += 1
 
-            # -- schedule pass -----------------------------------------
+            # -- schedule pass -------------------------------------------
             if not can_skip:
                 while True:
                     while (head_idx < len(queue)
@@ -380,12 +523,24 @@ class Scheduler:
                         del queue[:head_idx]
                         head_idx = 0
                     if head_idx >= len(queue):
-                        can_skip = skippable
                         break
                     head = queue[head_idx][2]
-                    m_name = assign(head, started, cluster)
+                    try:
+                        m_name = assign(head, started, cluster)
+                    except RuntimeError:
+                        # No usable machine: transient while offline
+                        # nodes cause it, a configuration error when the
+                        # job exceeds every machine outright.
+                        if not faulty or head.nodes_required > max_total:
+                            raise
+                        break
                     machine = machines[m_name]
-                    if not machine.can_ever_fit(head.nodes_required):
+                    if (not machine.can_ever_fit(head.nodes_required)
+                            and (not faulty
+                                 or head.nodes_required
+                                 > machine.total_nodes)):
+                        # Offline nodes only come back through fault
+                        # events, so without them the job can never run.
                         raise RuntimeError(
                             f"job {head.job_id} needs {head.nodes_required} "
                             f"nodes; {m_name} has {machine.total_nodes}"
@@ -398,18 +553,19 @@ class Scheduler:
                         continue
 
                     if not backfill or head_idx + 1 >= len(queue):
-                        can_skip = skippable
                         break
                     total_free = sum(m.free_nodes for m in machine_list)
                     if stateless and total_free == 0 and not trace:
                         # No machine can start anything and the strategy
                         # has no call-order-dependent state, so the whole
                         # backfill pass would be a no-op; skip it.
-                        can_skip = skippable
                         break
                     # EASY: reserve head at its machine's shadow time,
                     # then scan a bounded near-head window in R2 order.
-                    shadow = machine.shadow_time(head.nodes_required, now)
+                    try:
+                        shadow = machine.shadow_time(head.nodes_required, now)
+                    except RuntimeError:
+                        break  # offline nodes block the reservation; wait
                     if trace:
                         events.append((shadow, "reserve", head.job_id,
                                        m_name))
@@ -468,7 +624,12 @@ class Scheduler:
                             # skipping the (stateless) strategy call
                             # changes nothing.
                             continue
-                        c_name = assign(cand, started, cluster)
+                        try:
+                            c_name = assign(cand, started, cluster)
+                        except RuntimeError:
+                            if not faulty:
+                                raise
+                            continue  # no usable machine while nodes are out
                         c_machine = machines[c_name]
                         if (c_machine.total_nodes
                                 - c_machine.offline_nodes < need):
@@ -477,10 +638,12 @@ class Scheduler:
                                 or c_machine.free_nodes < need):
                             continue  # can_fit, inlined
                         # Feasibility uses the (possibly inflated)
-                        # estimate; actual execution below uses the true
-                        # runtime.
-                        finishes = now + (cand.runtime_on(c_name)
-                                          * walltime_factor)
+                        # estimate of the remaining work; actual
+                        # execution uses the true runtime.
+                        estimate = cand.runtime_on(c_name)
+                        if cand.job_id in progress:
+                            estimate *= remaining(cand.job_id)
+                        finishes = now + estimate * walltime_factor
                         if c_name == m_name and finishes > shadow:
                             # Would delay the head's reservation (the
                             # head consumes every node freed up to the
@@ -501,27 +664,31 @@ class Scheduler:
                         if stateless and total_free <= 0:
                             break
                         max_free = max(m.free_nodes for m in machine_list)
-                    can_skip = skippable
                     break  # head still blocked; wait for an event
+                can_skip = skippable
 
-            if len(start_out) >= n:
+            if resolved >= n:
                 break
-            # Advance time to the next event (peeks inlined: the
-            # `_running` lists are the live objects).
-            next_done = None
+            # Advance time to the next event: the earliest machine
+            # completion (peeks inlined: the `_running` lists are the
+            # live objects), arrival, or fault event.  Every live attempt
+            # also has a finish event, so under faults this is the heap
+            # head or the next arrival, and finish events left by killed
+            # attempts still wake the loop.
+            next_t = evq[0][0] if evq else None
             for m, r in running_of:
                 if r:
                     t = r[0][0]
-                    if next_done is None or t < next_done:
-                        next_done = t
+                    if next_t is None or t < next_t:
+                        next_t = t
             if arrival_idx < n:
                 next_arrival = arrivals[arrival_idx].submit_time
-                if next_done is None or next_arrival < next_done:
-                    next_done = next_arrival
-            if next_done is None:
-                raise RuntimeError("deadlock: no events but jobs unscheduled")
-            if next_done > now:
-                now = next_done
+                if next_t is None or next_arrival < next_t:
+                    next_t = next_arrival
+            if next_t is None:
+                raise RuntimeError("deadlock: no events but jobs unresolved")
+            if next_t > now:
+                now = next_t
             for m, r in running_of:
                 if r and r[0][0] <= now:
                     # Bulk-release every allocation due by `now`; freed
@@ -529,401 +696,28 @@ class Scheduler:
                     m.release_until(now)
                     can_skip = False
             wakeups += 1
-
-        self.last_run_stats = SimStats(
-            wakeups=wakeups, starts=started, backfilled=backfilled
-        )
-        by_id = {j.job_id: j for j in jobs}
-        ids = np.array(sorted(start_out), dtype=np.int64)
-        starts = np.array([start_out[i] for i in ids])
-        placed = [machines_out[i] for i in ids]
-        runtimes = np.array(
-            [by_id[i].runtime_on(machines_out[i]) for i in ids]
-        )
-        submits = np.array([by_id[i].submit_time for i in ids])
-        return ScheduleResult(
-            job_ids=ids,
-            machines=placed,
-            submit_times=submits,
-            start_times=starts,
-            end_times=starts + runtimes,
-            runtimes=runtimes,
-            strategy_name=getattr(self.strategy, "name", "custom"),
-            backfilled=backfilled,
-            extra={"events": events} if trace else {},
-        )
-
-    # ------------------------------------------------------------------
-    def _run_faulty(self, jobs: list[Job]) -> ScheduleResult:
-        """Failure-aware event loop: the paper's experiment in a hostile
-        world.
-
-        Same scheduling logic (Algorithm 1 + strategy + EASY backfill),
-        extended with four event kinds: ``finish``, ``crash`` (job-level
-        fault), ``fail``/``recover`` (node-level fault), and ``requeue``
-        (retry becoming eligible).  With a null injector this loop makes
-        identical scheduling decisions to :meth:`_run_reliable` — pinned
-        by a test — because job starts, finishes, and backfill
-        feasibility compute the exact same values when no fault event
-        ever fires.
-        """
-        from repro.resilience.retry import RetryPolicy
-
-        injector = self.faults
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        arrivals, r1k, r2k, same_order = self._prepare(jobs)
-        arrival_idx = 0
-        cluster = self.cluster
-        strategy = self.strategy
-        assign = strategy.assign
-        release = getattr(strategy, "release", None)
-        stateless = getattr(strategy, "stateless_assign", False)
-        machines = cluster.machines
-        machine_list = list(machines.values())
-        max_total = max(m.total_nodes for m in machine_list)
-        backfill = self.backfill
-        conservative = self.conservative
-        depth = self.backfill_depth
-        window_span = 4 * depth
-        walltime_factor = self.walltime_factor
-        trace = self.trace
-
-        n = len(jobs)
-        by_id = {j.job_id: j for j in jobs}
-        queue: list[tuple] = []
-        head_idx = 0
-        interior_stale = 0
-        scheduled: set[int] = set()
-        started = 0
-        backfilled = 0
-        now = 0.0
-        wakeups = 0
-        events: list[tuple[float, str, int, str]] = []
-
-        # Resilience bookkeeping.
-        attempts: dict[int, int] = {}        # job -> attempts started
-        progress: dict[int, float] = {}      # job -> work fraction done
-        running: dict[int, dict] = {}        # job -> live attempt info
-        finished: dict[int, tuple[str, float, float]] = {}
-        failed_perm: set[int] = set()
-        wasted = 0.0                         # node-seconds of lost work
-        node_failures = 0
-        job_crashes = 0
-        preemptions = 0                      # kills caused by node failures
-        retries = 0
-
-        # Event heap: (time, tiebreak, kind, a, b).
-        evq: list[tuple[float, int, str, int | str, int]] = []
-        ev_seq = 0
-
-        def push(time: float, kind: str, a, b=0) -> None:
-            nonlocal ev_seq
-            heapq.heappush(evq, (time, ev_seq, kind, a, b))
-            ev_seq += 1
-
-        for m_name in cluster.names:
-            gap = injector.next_failure_gap(m_name)
-            if gap is not None:
-                push(gap, "fail", m_name)
-
-        def remaining(jid: int) -> float:
-            return max(0.0, 1.0 - progress.get(jid, 0.0))
-
-        def compact_window() -> None:
-            """Splice lazily-deleted entries out of the window region.
-
-            Equivalent to the reference engine's whole-queue compaction:
-            every stale entry lies inside ``queue[head_idx : head_idx +
-            1 + window_span]`` (backfills only happen inside the window,
-            the head cursor never moves backwards, and insertions only
-            happen right after compaction).
-            """
-            nonlocal interior_stale
-            hi = head_idx + 1 + window_span
-            queue[head_idx:hi] = [
-                e for e in queue[head_idx:hi] if e[1] not in scheduled
-            ]
-            interior_stale = 0
-
-        def admit_arrivals() -> None:
-            nonlocal arrival_idx
-            if (arrival_idx >= n
-                    or arrivals[arrival_idx].submit_time > now):
-                return
-            if interior_stale:
-                compact_window()
-            while (arrival_idx < n
-                   and arrivals[arrival_idx].submit_time <= now):
-                job = arrivals[arrival_idx]
-                entry = (r1k[job.job_id], job.job_id, job)
-                if queue and entry < queue[-1]:
-                    insort(queue, entry, head_idx)
-                else:
-                    # Monotone R1 keys (FCFS): O(1) tail append.
-                    queue.append(entry)
-                arrival_idx += 1
-
-        def start_job(job: Job, machine_name: str) -> None:
-            nonlocal started
-            jid = job.job_id
-            runtime = job.runtime_on(machine_name) * remaining(jid)
-            end = now + runtime
-            seq = machines[machine_name].start(job.nodes_required, end)
-            attempt = attempts.get(jid, 0) + 1
-            attempts[jid] = attempt
-            running[jid] = {
-                "machine": machine_name, "start": now, "end": end,
-                "nodes": job.nodes_required, "seq": seq, "attempt": attempt,
-            }
-            scheduled.add(jid)
-            started += 1
-            push(end, "finish", jid, attempt)
-            crash_at = injector.crash_offset(jid, attempt, runtime)
-            if crash_at is not None:
-                push(now + crash_at, "crash", jid, attempt)
-
-        def resolve(jid: int) -> None:
-            """A job is permanently done (finished or given up); its
-            sticky strategy-cache entries can be evicted."""
-            if release is not None:
-                release(jid)
-
-        def kill(jid: int, cause: str) -> None:
-            """Terminate a running attempt and arrange its retry."""
-            nonlocal wasted, retries
-            info = running.pop(jid)
-            machines[info["machine"]].cancel(info["seq"])
-            job = by_id[jid]
-            elapsed = now - info["start"]
-            if retry.checkpoint:
-                progress[jid] = min(
-                    1.0,
-                    progress.get(jid, 0.0)
-                    + elapsed / job.runtime_on(info["machine"]),
-                )
-            else:
-                wasted += info["nodes"] * elapsed
-            if trace:
-                events.append((now, cause, jid, info["machine"]))
-            if retry.gives_up(attempts[jid]):
-                failed_perm.add(jid)  # stays in `scheduled`: never requeued
-                if trace:
-                    events.append((now, "give_up", jid, info["machine"]))
-                resolve(jid)
-                return
-            retries += 1
-            push(now + retry.delay(attempts[jid], jid), "requeue", jid)
-
-        def handle_requeue(jid: int) -> None:
-            # Purge any stale queue copy (a backfilled job stays in the
-            # window until compaction) *before* clearing the scheduled
-            # mark, then re-admit under R1 order among the live suffix.
-            if interior_stale:
-                compact_window()
-            scheduled.discard(jid)
-            insort(queue, (r1k[jid], jid, by_id[jid]), head_idx)
-            if trace:
-                events.append((now, "requeue", jid, ""))
-
-        def handle_node_failure(m_name: str) -> None:
-            nonlocal node_failures, preemptions
-            machine = machines[m_name]
-            gap = injector.next_failure_gap(m_name)
-            if gap is not None:
-                push(now + gap, "fail", m_name)
-            if machine.usable_nodes == 0:
-                return  # already fully down; nothing left to break
-            if machine.free_nodes == 0:
-                # Every usable node is busy: the failing node takes its
-                # job down with it.  Deterministic victim: the running
-                # job with the most remaining work (latest end time).
-                victim = max(
-                    (jid for jid, info in running.items()
-                     if info["machine"] == m_name),
-                    key=lambda jid: (running[jid]["end"], jid),
-                )
-                preemptions += 1
-                kill(victim, "node_kill")
-            machine.take_offline(1)
-            node_failures += 1
-            if trace:
-                events.append((now, "node_fail", -1, m_name))
-            push(now + injector.repair_duration(m_name), "recover", m_name)
-
-        def schedule_pass() -> None:
-            nonlocal head_idx, interior_stale, backfilled
-            while True:
-                while head_idx < len(queue) and queue[head_idx][1] in scheduled:
-                    head_idx += 1
-                    interior_stale -= 1
-                if head_idx > 64 and head_idx * 2 > len(queue):
-                    del queue[:head_idx]
-                    head_idx = 0
-                if head_idx >= len(queue):
-                    return
-                head = queue[head_idx][2]
-                try:
-                    m_name = assign(head, started, cluster)
-                except RuntimeError:
-                    # Strategy found no usable machine.  Transient when
-                    # caused by offline nodes; a configuration error when
-                    # the job exceeds every machine outright.
-                    if not any(m.total_nodes >= head.nodes_required
-                               for m in machine_list):
-                        raise
-                    return
-                machine = machines[m_name]
-                if head.nodes_required > machine.total_nodes:
-                    raise RuntimeError(
-                        f"job {head.job_id} needs {head.nodes_required} "
-                        f"nodes; {m_name} has {machine.total_nodes}"
-                    )
-                if machine.can_fit(head.nodes_required):
-                    start_job(head, m_name)
-                    if trace:
-                        events.append((now, "start", head.job_id, m_name))
-                    head_idx += 1
-                    continue
-
-                if not backfill or head_idx + 1 >= len(queue):
-                    return
-                total_free = sum(m.free_nodes for m in machine_list)
-                if stateless and total_free == 0 and not trace:
-                    return
-                try:
-                    shadow = machine.shadow_time(head.nodes_required, now)
-                except RuntimeError:
-                    return  # offline nodes block the reservation; wait
-                if trace:
-                    events.append((shadow, "reserve", head.job_id, m_name))
-                if same_order:
-                    # Scan the raw window in place, counting live
-                    # entries up to `depth` — identical to
-                    # filter-then-truncate because live job ids are
-                    # unique in the queue.
-                    lo = head_idx + 1
-                    check_stale = interior_stale > 0
-                    hi = min(len(queue),
-                             lo + (window_span if check_stale else depth))
-                    cands = None
-                else:
-                    if interior_stale:
-                        window = [
-                            (r2k[e[1]], e[1], e[2])
-                            for e in
-                            queue[head_idx + 1:
-                                  head_idx + 1 + window_span]
-                            if e[1] not in scheduled
-                        ]
-                    else:
-                        window = [
-                            (r2k[e[1]], e[1], e[2])
-                            for e in
-                            queue[head_idx + 1:
-                                  head_idx + 1 + window_span]
-                        ]
-                    window.sort()
-                    cands = [e[2] for e in window[:depth]]
-                    lo, hi, check_stale = 0, len(cands), False
-                max_free = max(m.free_nodes for m in machine_list)
-                taken = 0
-                for i in range(lo, hi):
-                    if taken == depth:
-                        break
-                    if cands is None:
-                        e = queue[i]
-                        if check_stale and e[1] in scheduled:
-                            continue
-                        cand = e[2]
-                    else:
-                        cand = cands[i]
-                    taken += 1
-                    need = cand.nodes_required
-                    if stateless and need > max_free and need <= max_total:
-                        continue
-                    try:
-                        c_name = assign(cand, started, cluster)
-                    except RuntimeError:
-                        continue
-                    c_machine = machines[c_name]
-                    if not c_machine.can_ever_fit(need):
-                        continue
-                    if not c_machine.can_fit(need):
-                        continue
-                    finishes = now + (cand.runtime_on(c_name)
-                                      * remaining(cand.job_id)
-                                      * walltime_factor)
-                    if c_name == m_name and finishes > shadow:
-                        continue
-                    if conservative and finishes > shadow:
-                        continue
-                    start_job(cand, c_name)
-                    backfilled += 1
-                    interior_stale += 1
-                    if trace:
-                        events.append((now, "backfill_start",
-                                       cand.job_id, c_name))
-                    total_free -= need
-                    if stateless and total_free <= 0:
-                        break
-                    max_free = max(m.free_nodes for m in machine_list)
-                return  # head still blocked; wait for an event
-
-        while len(finished) + len(failed_perm) < n:
-            admit_arrivals()
-            schedule_pass()
-            if len(finished) + len(failed_perm) >= n:
-                break
-
-            wake_times = []
-            if arrival_idx < n:
-                wake_times.append(arrivals[arrival_idx].submit_time)
-            if evq:
-                wake_times.append(evq[0][0])
-            if not wake_times:
-                raise RuntimeError("deadlock: no events but jobs unresolved")
-            now = max(now, min(wake_times))
-            for m in machine_list:
-                r = m._running
-                if r and r[0][0] <= now:
-                    m.release_until(now)
-            wakeups += 1
-
             while evq and evq[0][0] <= now:
-                _, _, kind, a, b = heapq.heappop(evq)
-                if kind == "finish":
-                    info = running.get(a)
-                    if info is not None and info["attempt"] == b:
-                        running.pop(a)
-                        finished[a] = (
-                            info["machine"], info["start"], info["end"]
-                        )
-                        resolve(a)
-                elif kind == "crash":
-                    info = running.get(a)
-                    if info is not None and info["attempt"] == b:
-                        job_crashes += 1
-                        kill(a, "crash")
-                elif kind == "fail":
-                    handle_node_failure(a)
-                elif kind == "recover":
-                    machines[a].bring_online(1)
-                    if trace:
-                        events.append((now, "node_recover", -1, a))
-                elif kind == "requeue":
-                    handle_requeue(a)
+                fire(*heapq.heappop(evq)[2:])
 
         self.last_run_stats = SimStats(
             wakeups=wakeups, starts=started, backfilled=backfilled,
             retries=retries,
         )
-        ids = np.array(sorted(finished), dtype=np.int64)
-        placed = [finished[i][0] for i in ids]
-        starts = np.array([finished[i][1] for i in ids])
-        ends = np.array([finished[i][2] for i in ids])
-        submits = np.array([by_id[i].submit_time for i in ids])
-        extra = {
-            "faults": {
+        ids = np.array(sorted(placed), dtype=np.int64)
+        placements = [placed[i][0] for i in ids]
+        starts = np.array([placed[i][1] for i in ids])
+        ends = np.array([placed[i][2] for i in ids])
+        extra = {}
+        if injector is None:
+            runtimes = np.array(
+                [by_id[i].runtime_on(m) for i, m in zip(ids, placements)]
+            )
+        else:
+            # With an injector the reference reports each job's final
+            # attempt span, which can differ from its runtime in the
+            # last bit.
+            runtimes = ends - starts
+            extra["faults"] = {
                 "profile": injector.profile.name,
                 "node_failures": node_failures,
                 "job_crashes": job_crashes,
@@ -935,16 +729,15 @@ class Scheduler:
                     int(j): int(k) for j, k in attempts.items() if k > 1
                 },
             }
-        }
         if trace:
             extra["events"] = events
         return ScheduleResult(
             job_ids=ids,
-            machines=placed,
-            submit_times=submits,
+            machines=placements,
+            submit_times=np.array([by_id[i].submit_time for i in ids]),
             start_times=starts,
             end_times=ends,
-            runtimes=ends - starts,
+            runtimes=runtimes,
             strategy_name=getattr(self.strategy, "name", "custom"),
             backfilled=backfilled,
             extra=extra,

@@ -250,18 +250,29 @@ class TestMachineAvailability:
 # ---------------------------------------------------------------------------
 class TestFaultySimulator:
     def test_null_injector_bit_identical(self):
+        # A null injector runs the fault-free loop itself: same
+        # schedule, same event-loop counters (the loop still ends once
+        # every job has started), plus only the zeroed fault summary.
         jobs = _workload(40, seed=1)
         base = Scheduler(RoundRobinStrategy(), cluster=_small_cluster())
         plain = base.run(jobs)
-        faulty = Scheduler(
+        null = Scheduler(
             RoundRobinStrategy(), cluster=_small_cluster(),
             faults=FaultInjector(FAULT_PROFILES["none"], seed=0),
-        ).run(jobs)
+        )
+        faulty = null.run(jobs)
         assert np.array_equal(plain.job_ids, faulty.job_ids)
         assert plain.machines == faulty.machines
         assert np.array_equal(plain.start_times, faulty.start_times)
         assert np.array_equal(plain.end_times, faulty.end_times)
         assert plain.backfilled == faulty.backfilled
+        assert null.last_run_stats == base.last_run_stats
+        assert "faults" not in plain.extra
+        assert faulty.extra["faults"] == {
+            "profile": "none", "node_failures": 0, "job_crashes": 0,
+            "preemptions": 0, "retries": 0, "failed_jobs": [],
+            "wasted_node_seconds": 0.0, "attempts": {},
+        }
 
     def test_heavy_profile_completes_everything(self):
         jobs = _workload(30, seed=2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.sched import (
     per_machine_job_counts,
     strategy_by_name,
 )
+from repro.sched.policies import policy_by_name
 from repro.sched.strategies import OracleStrategy
 
 SYSTEMS = ("Quartz", "Ruby", "Lassen", "Corona")
@@ -368,3 +371,76 @@ def test_property_simulation_invariants(n_jobs, seed, strategy_name):
     assert sorted(result.job_ids) == list(range(n_jobs))
     assert (result.start_times >= result.submit_times - 1e-9).all()
     assert (result.runtimes > 0).all()
+
+
+def schedule_digest(result) -> str:
+    """SHA-256 over a result's placement-relevant content.
+
+    Covers job ids, machine assignments, submit/start/end times, the
+    strategy name, and the backfill count.  Float times hash via their
+    exact IEEE-754 bytes, so two digests agree only when the schedules
+    are bit-identical.
+    """
+    h = hashlib.sha256()
+    h.update(result.strategy_name.encode())
+    h.update(str(result.backfilled).encode())
+    h.update("\x00".join(result.machines).encode())
+    for arr in (result.job_ids, result.submit_times,
+                result.start_times, result.end_times):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _digest_jobs(n: int, seed: int = 3) -> list[Job]:
+    rng = np.random.default_rng(seed)
+    jobs = []
+    t = 0.0
+    for i in range(n):
+        t += float(rng.exponential(5.0))
+        rpv = rng.uniform(0.5, 3.0, size=len(SYSTEMS))
+        base = float(rng.uniform(20.0, 400.0))
+        jobs.append(Job(
+            job_id=i, app="CoMD", uses_gpu=bool(rng.integers(2)),
+            nodes_required=int(rng.integers(1, 8)),
+            runtimes={s: base * float(r) for s, r in zip(SYSTEMS, rpv)},
+            submit_time=t,
+            predicted_rpv=rpv,
+            true_rpv=rpv,
+        ))
+    return jobs
+
+
+DIGEST_STRATEGIES = ("round_robin", "random", "user_rr", "model")
+
+
+def test_schedule_digest_distinguishes_strategies():
+    jobs = _digest_jobs(120)
+    digests = [
+        schedule_digest(Scheduler(strategy_by_name(s, seed=11)).run(jobs))
+        for s in DIGEST_STRATEGIES
+    ]
+    assert len(set(digests)) == len(digests)
+
+
+def test_schedule_digest_is_deterministic():
+    jobs = _digest_jobs(100)
+    a, b = (Scheduler(strategy_by_name("model", seed=5)).run(jobs)
+            for _ in range(2))
+    assert schedule_digest(a) == schedule_digest(b)
+
+
+def test_queue_policy_and_node_counts_change_the_schedule():
+    jobs = _digest_jobs(150)
+    # A small cluster keeps a queue standing, so ordering policies bite.
+    nodes = {m: 8 for m in SYSTEMS}
+
+    def digest(**kwargs) -> str:
+        strategy = strategy_by_name("round_robin", seed=1)
+        return schedule_digest(Scheduler(strategy, **kwargs).run(jobs))
+
+    base = digest(cluster=ClusterState(nodes))
+    sjf = digest(cluster=ClusterState(nodes),
+                 queue_policy=policy_by_name("sjf"))
+    big = digest()
+    assert base != sjf
+    assert base != big

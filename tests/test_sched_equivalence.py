@@ -210,6 +210,19 @@ class TestFaultyEquivalence:
             trace=True)
         assert_identical(got, want)
 
+    @pytest.mark.parametrize("profile", ("heavy", "light"))
+    @pytest.mark.parametrize("strategy", ("round_robin", "model", "oracle"))
+    def test_stateless_strategies_untraced(self, strategy, profile):
+        # Stateless strategies with tracing off are the runs where the
+        # fault-free loop elides no-op schedule passes.  Kills,
+        # recoveries and requeues break that proof, so under faults
+        # every wakeup must still run its pass, as the reference does.
+        jobs = make_jobs(seed=83, n=100)
+        got, want = run_both(
+            jobs, strategy=strategy, cluster=small_cluster(),
+            faults=FaultInjector(FAULT_PROFILES[profile], seed=19))
+        assert_identical(got, want)
+
     def test_conservative_under_faults(self):
         jobs = make_jobs(seed=79, n=80)
         got, want = run_both(

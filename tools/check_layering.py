@@ -33,6 +33,10 @@ every other layer can depend on them without cycles:
   layers it composes (artifacts, resilience, sched, profiler, ...) but
   never ``repro.cli`` or ``repro.sweep`` — the service is a library the
   CLI wraps, not the other way round.
+* ``repro.sched._reference`` — the frozen scheduler the equivalence
+  suite compares the engine against — may be imported by no module
+  under ``src`` (reverse check below): a helper shared with the engine
+  would let the suite compare the engine with itself.
 
 This script walks each module's AST (no imports are executed, so it is
 safe to run on a broken tree) and fails with one line per violation.
@@ -192,8 +196,13 @@ def _module_path(module: str) -> Path:
     return SRC.joinpath(*parts) / "__init__.py"
 
 
-def repro_imports(module: str) -> list[tuple[int, str]]:
+def repro_imports(module: str,
+                  submodules: bool = False) -> list[tuple[int, str]]:
     """Every ``repro.*`` module imported by *module*: (lineno, name).
+
+    Relative imports are resolved against *module*'s package.  With
+    *submodules*, ``from pkg import name`` also reports ``pkg.name``,
+    which is the module imported when *name* is a submodule.
 
     A module absent from SRC contributes nothing (so the guard can run
     against partial trees, e.g. the planted-violation test fixture).
@@ -208,10 +217,19 @@ def repro_imports(module: str) -> list[tuple[int, str]]:
             for alias in node.names:
                 if alias.name == "repro" or alias.name.startswith("repro."):
                     found.append((node.lineno, alias.name))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif isinstance(node, ast.ImportFrom):
             name = node.module or ""
+            if node.level:
+                package = module.split(".")
+                if path.name != "__init__.py":
+                    package.pop()
+                del package[len(package) - node.level + 1:]
+                name = ".".join(package + ([name] if name else []))
             if name == "repro" or name.startswith("repro."):
                 found.append((node.lineno, name))
+                if submodules:
+                    found.extend((node.lineno, f"{name}.{alias.name}")
+                                 for alias in node.names)
     return found
 
 
@@ -219,10 +237,12 @@ def repro_imports(module: str) -> list[tuple[int, str]]:
 #: check above constrains a module's *outgoing* edges; this constrains
 #: *incoming* ones, for tools that must never leak into the library
 #: layers (the self-profiler is operational tooling the CLI exposes,
-#: not a dependency science code may grow).  An importer matches if it
-#: equals an entry or lives under an entry's package.
+#: not a dependency science code may grow) and for the frozen test
+#: oracle, which nothing in the package may import.  An importer matches
+#: if it equals an entry or lives under an entry's package.
 RESTRICTED_IMPORTERS = {
     "repro.perf": {"repro.cli"},
+    "repro.sched._reference": set(),
 }
 
 
@@ -249,7 +269,7 @@ def violations() -> list[str]:
                 f"{', '.join(sorted(allowed)) or 'nothing from repro'}"
             )
     for module in _all_modules():
-        for lineno, imported in repro_imports(module):
+        for lineno, imported in repro_imports(module, submodules=True):
             allowed_importers = RESTRICTED_IMPORTERS.get(imported)
             if allowed_importers is None:
                 continue
@@ -258,9 +278,11 @@ def violations() -> list[str]:
                 for pkg in allowed_importers
             ):
                 continue
+            who = (f"only {', '.join(sorted(allowed_importers))}"
+                   if allowed_importers else "no repro module")
             problems.append(
-                f"{module} (line {lineno}) imports {imported}, which only "
-                f"{', '.join(sorted(allowed_importers))} may import"
+                f"{module} (line {lineno}) imports {imported}, which "
+                f"{who} may import"
             )
     return problems
 
