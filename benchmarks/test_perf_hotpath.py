@@ -55,7 +55,7 @@ def test_perf_hotpath():
     gbt = GradientBoostedTrees(n_estimators=80, max_depth=5,
                                random_state=0).fit(X, Y)
     Xb = gbt.binner_.transform(rng.normal(size=(20_000, 12)))
-    flat = gbt._flat_ensemble()
+    flat, _ = gbt._flat_stack()
 
     flat.predict_leaves(Xb)  # warm (compiles the kernel on first use)
     t0 = time.perf_counter()

@@ -32,10 +32,11 @@ outputs), normalized to sum to one.
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
-from repro import telemetry
+from repro import native, telemetry
 from repro.ml.tree import Binner, FlatEnsemble, Tree, TreeParams, grow_tree
 
 __all__ = ["GradientBoostedTrees"]
@@ -90,11 +91,13 @@ class GradientBoostedTrees:
     True
     """
 
-    #: quantile level -> (trees, FlatEnsemble).  The class-level empty
-    #: dict serves unfitted models, unpickled copies (``__getstate__``
-    #: drops the cache) and pickles that predate it; it is replaced,
-    #: never mutated in place.
-    _head_flat_cache: dict[float, tuple[tuple[Tree, ...], FlatEnsemble]] = {}
+    #: quantile level -> (trees, (FlatEnsemble, per-tree columns)).  The
+    #: class-level empty dict serves unfitted models, unpickled copies
+    #: (``__getstate__`` drops the cache) and pickles that predate it;
+    #: it is replaced, never mutated in place.
+    _head_flat_cache: dict[
+        float, tuple[tuple[Tree, ...], tuple[FlatEnsemble, np.ndarray]]
+    ] = {}
 
     def __init__(
         self,
@@ -173,7 +176,9 @@ class GradientBoostedTrees:
         # could false-hit when a replaced tree's id is recycled.  Each
         # quantile head's stack is cached the same way, per level, in
         # _head_flat_cache.
-        self._flat_cache: tuple[tuple[Tree, ...], FlatEnsemble] | None = None
+        self._flat_cache: tuple[
+            tuple[Tree, ...], tuple[FlatEnsemble, np.ndarray]
+        ] | None = None
         #: Per-round metrics recorded during fit: train MAE always, and
         #: validation MAE when an eval_set is supplied.
         self.eval_history_: dict[str, list[float]] = {}
@@ -375,51 +380,59 @@ class GradientBoostedTrees:
 
         Every tree is traversed in one flat vectorized pass
         (:class:`~repro.ml.tree.FlatEnsemble`); leaf contributions are
-        then accumulated round by round in the exact order of the
+        then accumulated tree by tree in the exact order of the
         per-tree training loop, so results are bit-identical to it
         (numpy reductions would use pairwise summation and drift in the
         last ulp).  A vector-leaf round adds its one tree to every
         output; otherwise tree ``out`` of a round adds to output
-        ``out`` (quantile heads are always per-output).
+        ``out`` (quantile heads are always per-output).  The native
+        kernel does the adds when it is available; the loop below is
+        its numpy fallback.
         """
         if head is None:
             base, rounds = self.base_score_, self.trees_
-            vector_leaves = self.multi_strategy == "multi_output_tree"
         else:
-            (base, rounds), vector_leaves = self.quantile_trees_[head], False
+            base, rounds = self.quantile_trees_[head]
         pred = np.tile(base, (Xb.shape[0], 1))
         if not rounds:
             return pred
-        flat = self._flat_ensemble(head)
+        flat, cols = self._flat_stack(head)
         leaves = flat.predict_leaves(Xb)
         values = flat.values
-        ti = 0
-        for round_trees in rounds:
-            if vector_leaves:
-                pred += values[leaves[ti]]
-                ti += 1
-            else:
-                for out in range(len(round_trees)):
-                    pred[:, out] += values[leaves[ti], 0]
-                    ti += 1
+        width = values.shape[1]
+        if native.accumulate_leaves(leaves, values, cols, width, pred):
+            return pred
+        for ti, col in enumerate(cols.tolist()):
+            pred[:, col:col + width] += values[leaves[ti]]
         return pred
 
-    def _flat_ensemble(self, head: float | None = None) -> FlatEnsemble:
+    def _flat_stack(self, head: float | None = None
+                    ) -> tuple[FlatEnsemble, np.ndarray]:
         """The flat stack of the main ensemble (``head=None``) or of
-        quantile head *head*, rebuilt whenever its trees change."""
-        rounds = self.trees_ if head is None else self.quantile_trees_[head][1]
-        key = tuple(t for round_trees in rounds for t in round_trees)
+        quantile head *head*, with the int32 first output column of each
+        of its trees; rebuilt whenever its trees change."""
+        if head is None:
+            rounds = self.trees_
+            vector_leaves = self.multi_strategy == "multi_output_tree"
+        else:
+            rounds, vector_leaves = self.quantile_trees_[head][1], False
+        key = tuple(chain.from_iterable(rounds))
         cached = (self._flat_cache if head is None
                   else self._head_flat_cache.get(head))
         if cached is not None and cached[0] == key:
             return cached[1]
-        flat = FlatEnsemble(list(key))
+        if vector_leaves:
+            cols = np.zeros(len(key), dtype=np.int32)
+        else:
+            cols = np.concatenate([np.arange(len(round_trees), dtype=np.int32)
+                                   for round_trees in rounds])
+        stack = (FlatEnsemble(list(key)), cols)
         if head is None:
-            self._flat_cache = (key, flat)
+            self._flat_cache = (key, stack)
         else:
             self._head_flat_cache = {**self._head_flat_cache,
-                                     head: (key, flat)}
-        return flat
+                                     head: (key, stack)}
+        return stack
 
     def __getstate__(self) -> dict:
         # The flat cache is a pure derivation of trees_ and roughly

@@ -52,15 +52,19 @@ def _tree_to_dict(tree: Tree) -> dict:
         "n_features": tree.n_features,
         "nodes": [
             {
-                "feature": node.feature,
-                "bin_threshold": node.bin_threshold,
-                "value": [float(v) for v in np.atleast_1d(node.value)],
-                "left": node.left,
-                "right": node.right,
-                "gain": node.gain,
-                "n_samples": node.n_samples,
+                "feature": feature,
+                "bin_threshold": threshold,
+                "value": value,
+                "left": left,
+                "right": right,
+                "gain": gain,
+                "n_samples": n_samples,
             }
-            for node in tree._nodes
+            for feature, threshold, value, left, right, gain, n_samples
+            in zip(tree._feat.tolist(), tree._thr.tolist(),
+                   tree._values.tolist(), tree._left.tolist(),
+                   tree._right.tolist(), tree._gain.tolist(),
+                   tree._n_samples.tolist())
         ],
     }
 

@@ -154,13 +154,18 @@ class _Node:
 
 
 class Tree:
-    """A grown tree: flat node list plus prediction / importance methods."""
+    """A grown tree as flat per-node arrays, with prediction and
+    importance methods.
+
+    The ``_Node`` list that growth (or deserialization) builds is read
+    once at construction and not kept: a fitted tree holds only its
+    struct-of-arrays, so a pickled model is a handful of arrays per tree
+    instead of one object (and one value array) per node.
+    """
 
     def __init__(self, nodes: list[_Node], n_outputs: int, n_features: int):
-        self._nodes = nodes
         self.n_outputs = n_outputs
         self.n_features = n_features
-        # Struct-of-arrays mirror for vectorized prediction.
         self._feat = np.array([n.feature for n in nodes], dtype=np.int64)
         self._thr = np.array([n.bin_threshold for n in nodes], dtype=np.int64)
         self._left = np.array([n.left for n in nodes], dtype=np.int64)
@@ -168,6 +173,9 @@ class Tree:
         self._values = np.array([n.value for n in nodes], dtype=np.float64)
         if self._values.ndim == 1:
             self._values = self._values[:, None]
+        self._gain = np.array([n.gain for n in nodes], dtype=np.float64)
+        self._n_samples = np.array([n.n_samples for n in nodes],
+                                   dtype=np.int64)
         # Node statistics are immutable once grown; cache them at
         # construction instead of recomputing O(n_nodes) per access.
         self._n_leaves = int(np.count_nonzero(self._feat < 0))
@@ -181,9 +189,19 @@ class Tree:
                     best = d
         self._max_depth_reached = int(best)
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written while trees still kept their node list carry
+        # ``_nodes`` (and no ``_gain`` / ``_n_samples``): rebuild the
+        # arrays from it and drop the list.
+        nodes = state.pop("_nodes", None)
+        if nodes is None:
+            self.__dict__.update(state)
+        else:
+            self.__init__(nodes, state["n_outputs"], state["n_features"])
+
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._feat)
 
     @property
     def n_leaves(self) -> int:
@@ -213,21 +231,18 @@ class Tree:
             )
         return self._values[node_idx]
 
+    # ``bincount`` adds its weights one node at a time in node order, so
+    # these sums are bit-identical to a per-node loop.
     def feature_gains(self) -> np.ndarray:
         """Total split gain accumulated per feature (length ``n_features``)."""
-        gains = np.zeros(self.n_features)
-        for node in self._nodes:
-            if node.feature >= 0:
-                gains[node.feature] += node.gain
-        return gains
+        split = self._feat >= 0
+        return np.bincount(self._feat[split], weights=self._gain[split],
+                           minlength=self.n_features)
 
     def feature_split_counts(self) -> np.ndarray:
         """Number of splits using each feature (length ``n_features``)."""
-        counts = np.zeros(self.n_features)
-        for node in self._nodes:
-            if node.feature >= 0:
-                counts[node.feature] += 1
-        return counts
+        return np.bincount(self._feat[self._feat >= 0],
+                           minlength=self.n_features).astype(np.float64)
 
 
 class FlatEnsemble:

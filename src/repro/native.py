@@ -1,29 +1,39 @@
 """Optional C hot-loop kernels, compiled on demand with graceful fallback.
 
-The flat-ensemble tree routing in :meth:`repro.ml.tree.FlatEnsemble.
-predict_leaves` is three dependent gathers per (tree, row, level) — a
-memory-latency-bound chain that numpy cannot fuse: every level round-trips
-each intermediate through a full-size temporary.  The C kernel below runs
-the same chain register-resident, tiled so a block of binned rows stays in
-L1/L2 across all trees (`repro perf` attributes the win: the numpy path's
-working set per level is ``3 * states * 4`` bytes of temporaries, the C
-path's is one row of ``n_features`` bytes plus the node arrays).
+Two kernels serve :class:`repro.ml.tree.FlatEnsemble` predictions:
+
+* ``route_leaves`` walks every (tree, row) pair to its leaf.  The walk is
+  three dependent gathers per (tree, row, level) — a memory-latency-bound
+  chain that numpy cannot fuse: every level round-trips each intermediate
+  through a full-size temporary.  The C loop runs the same chain
+  register-resident, tiled so a block of binned rows stays in L1/L2
+  across all trees (`repro perf` attributes the win: the numpy path's
+  working set per level is ``3 * states * 4`` bytes of temporaries, the C
+  path's is one row of ``n_features`` bytes plus the node arrays).
+* ``accumulate_leaves`` adds each routed tree's leaf value into its output
+  columns, tree by tree.  In numpy that is one fancy-indexed add per tree,
+  whose per-call overhead dominates a 1–2-row request on a 400-tree model.
 
 Design constraints:
 
-* **Bit-identical**: the kernel evaluates exactly the integer comparisons
+* **Bit-identical**: routing evaluates exactly the integer comparisons
   of the numpy path (uint8 feature vs packed uint8 threshold), so the
-  routed leaves — and therefore predictions — are equal, not approximately
-  equal.  Pinned by ``tests/test_ml_flat.py``.
-* **Zero hard dependencies**: the kernel is compiled at first use with the
-  system C compiler (``cc``/``gcc``).  No compiler, a failed compile, a
-  read-only cache directory, or ``REPRO_NATIVE=0`` all degrade silently to
-  the numpy path — never an exception, never a behavioural difference.
+  routed leaves are equal, not approximately equal.  Accumulation adds
+  into each output element the same leaf values in the same tree order
+  as the numpy round loop (plain IEEE additions, which the compiler may
+  not reassociate without ``-ffast-math``), so predictions are equal
+  too.  Pinned by ``tests/test_ml_flat.py``.
+* **Zero hard dependencies**: the kernels are compiled at first use with
+  the system C compiler (``cc``, else ``gcc``).  No compiler, a failed
+  compile, a read-only cache directory, or ``REPRO_NATIVE=0`` all degrade
+  silently to the numpy path — never an exception, never a behavioural
+  difference.
 * **Compile once**: the shared object is cached under
   ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``) keyed by the
   SHA-256 of the source + compiler flags, so recompilation happens only
-  when the kernel changes.  Concurrent builders race benignly: both
-  compile to unique temp names and ``os.replace`` atomically.
+  when a kernel changes.  Concurrent builders race benignly: each
+  compiles from and to its own temp names and ``os.replace``-s the
+  result into place atomically; temp files never outlive a build.
 
 This module is bottom-layer: it imports nothing from ``repro`` (enforced
 by ``tools/check_layering.py``) so any layer may use it.
@@ -31,6 +41,7 @@ by ``tools/check_layering.py``) so any layer may use it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -41,7 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "route_leaves", "kernel_info"]
+__all__ = ["available", "route_leaves", "accumulate_leaves",
+           "kernel_info"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -85,9 +97,40 @@ void route_leaves(const int32_t *featthr, const int32_t *children,
         }
     }
 }
+
+/* Add every tree's routed leaf value into its output columns.
+ *
+ * leaves:  row-major (n_trees, n_rows) int32 leaf node indices
+ * values:  row-major per-node values, value_stride doubles per node
+ * cols:    per-tree first output column the tree adds to
+ * pred:    row-major (n_rows, pred_stride) float64, updated in place
+ *
+ * Tree t adds values[leaf, 0:width] to pred[r, cols[t]:cols[t]+width].
+ * Trees are applied in order, so each output element receives the same
+ * additions in the same order as a per-tree loop.
+ */
+void accumulate_leaves(const int32_t *leaves, const double *values,
+                       const int32_t *cols, int64_t n_trees, int64_t n_rows,
+                       int64_t value_stride, int64_t width,
+                       int64_t pred_stride, double *pred)
+{
+    for (int64_t t = 0; t < n_trees; t++) {
+        const int32_t *leaf = leaves + t * n_rows;
+        double *dst = pred + cols[t];
+        for (int64_t r = 0; r < n_rows; r++, dst += pred_stride) {
+            const double *src = values + (int64_t)leaf[r] * value_stride;
+            for (int64_t j = 0; j < width; j++)
+                dst[j] += src[j];
+        }
+    }
+}
 """
 
 _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-fno-math-errno")
+
+_I32 = ctypes.POINTER(ctypes.c_int32)
+_U8 = ctypes.POINTER(ctypes.c_uint8)
+_F64 = ctypes.POINTER(ctypes.c_double)
 
 #: Tri-state: None = not yet attempted, else (handle-or-None, detail str).
 _state: tuple[ctypes.CDLL | None, str] | None = None
@@ -99,6 +142,40 @@ def _cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-native"
+
+
+def _build(cache: Path, so_path: Path) -> str | None:
+    """Compile the kernels into *so_path*; the failure reason, or None.
+
+    Source and object go through unique temp names in *cache* that are
+    removed on every path, so concurrent builders never read each
+    other's half-written files and a failed build leaves nothing.
+    """
+    fd, src = tempfile.mkstemp(dir=cache, suffix=".c")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(_SOURCE)
+    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
+    os.close(fd)
+    errors = []
+    try:
+        for compiler in ("cc", "gcc"):
+            try:
+                proc = subprocess.run(
+                    [compiler, *_CFLAGS, "-o", tmp, src],
+                    capture_output=True, text=True, timeout=120,
+                )
+            except (OSError, subprocess.SubprocessError) as exc:
+                errors.append(f"{compiler}: {exc}")
+                continue
+            if proc.returncode == 0:
+                os.replace(tmp, so_path)
+                return None
+            errors.append(f"{compiler}: {proc.stderr.strip()[:200]}")
+    finally:
+        for path in (src, tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+    return "compile failed: " + "; ".join(errors)
 
 
 def _compile() -> tuple[ctypes.CDLL | None, str]:
@@ -113,31 +190,23 @@ def _compile() -> tuple[ctypes.CDLL | None, str]:
         cache.mkdir(parents=True, exist_ok=True)
         so_path = cache / f"kernels-{digest}.so"
         if not so_path.is_file():
-            src_path = cache / f"kernels-{digest}.c"
-            src_path.write_text(_SOURCE)
-            fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
-            os.close(fd)
-            for compiler in ("cc", "gcc"):
-                proc = subprocess.run(
-                    [compiler, *_CFLAGS, "-o", tmp, str(src_path)],
-                    capture_output=True, text=True, timeout=120,
-                )
-                if proc.returncode == 0:
-                    os.replace(tmp, so_path)
-                    break
-            else:
-                os.unlink(tmp)
-                return None, f"compile failed: {proc.stderr.strip()[:200]}"
+            error = _build(cache, so_path)
+            if error is not None:
+                return None, error
         lib = ctypes.CDLL(str(so_path))
-    except (OSError, subprocess.SubprocessError, FileNotFoundError) as exc:
+    except OSError as exc:
         return None, f"unavailable: {exc}"
-    fn = lib.route_leaves
-    fn.restype = None
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int32),
-        ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_uint8),
+    lib.route_leaves.restype = None
+    lib.route_leaves.argtypes = [
+        _I32, _I32, _I32, _U8,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int32),
+        _I32,
+    ]
+    lib.accumulate_leaves.restype = None
+    lib.accumulate_leaves.argtypes = [
+        _I32, _F64, _I32,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _F64,
     ]
     return lib, str(so_path)
 
@@ -154,7 +223,7 @@ def _load() -> ctypes.CDLL | None:
 
 
 def available() -> bool:
-    """True when the compiled kernel is loadable on this host."""
+    """True when the compiled kernels are loadable on this host."""
     return _load() is not None
 
 
@@ -164,10 +233,6 @@ def kernel_info() -> str:
     _load()
     assert _state is not None
     return _state[1]
-
-
-_I32 = ctypes.POINTER(ctypes.c_int32)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
 def route_leaves(
@@ -197,5 +262,35 @@ def route_leaves(
         xb.ctypes.data_as(_U8),
         n_rows, n_features, out.shape[0], max_depth,
         out.ctypes.data_as(_I32),
+    )
+    return True
+
+
+def accumulate_leaves(
+    leaves: np.ndarray,
+    values: np.ndarray,
+    cols: np.ndarray,
+    width: int,
+    pred: np.ndarray,
+) -> bool:
+    """Add ``values[leaves[t, r], :width]`` into ``pred[r, cols[t]:][:width]``
+    for every tree *t* in order; False if unavailable.
+
+    *leaves* is :func:`route_leaves` output (int32 ``(n_trees, n_rows)``),
+    *values* the ensemble's float64 ``(n_nodes, k)`` node values, *cols*
+    int32 per-tree first output column and *pred* the float64
+    ``(n_rows, n_outputs)`` accumulator, updated in place; all
+    C-contiguous.  Returns ``True`` when the kernel ran; ``False`` means
+    the caller must take its fallback path.
+    """
+    lib = _load()
+    if lib is None:
+        return False
+    lib.accumulate_leaves(
+        leaves.ctypes.data_as(_I32),
+        values.ctypes.data_as(_F64),
+        cols.ctypes.data_as(_I32),
+        leaves.shape[0], leaves.shape[1], values.shape[1], width,
+        pred.shape[1], pred.ctypes.data_as(_F64),
     )
     return True

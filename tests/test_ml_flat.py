@@ -10,16 +10,20 @@ are gathered (not recomputed), the result must be *bit-identical* —
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import native
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.serialization import model_from_dict, model_to_dict
-from repro.ml.tree import FlatEnsemble
+from repro.ml.tree import FlatEnsemble, Tree, _Node
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,29 @@ def data():
         rng.normal(size=600),
     ], axis=1)
     return X, Y
+
+
+@contextlib.contextmanager
+def _kernel(kind):
+    """Run the block on the native kernels (``"default"``, when this host
+    can build them) or on the numpy fallback (``"numpy"``)."""
+    saved = native._state
+    if kind == "numpy":
+        native._state = (None, "forced off for equality test")
+    try:
+        yield
+    finally:
+        native._state = saved
+
+
+def _edge_batches(binner):
+    """Binned batches at the shapes the kernels special-case: empty, one
+    and two rows, more rows than one routing tile of either path, and
+    Fortran-order and row-strided (non-contiguous) layouts."""
+    rng = np.random.default_rng(11)
+    Xb = binner.transform(rng.normal(size=(4000, 9)))
+    return {"n0": Xb[:0], "n1": Xb[:1], "n2": Xb[:2], "tiles": Xb,
+            "fortran": np.asfortranarray(Xb[:300]), "strided": Xb[::7]}
 
 
 def _gbt_reference_predict(gbt, Xb):
@@ -120,17 +147,24 @@ class TestForestFlatPredict:
 
 
 class TestBoostingFlatPredict:
+    @pytest.mark.parametrize("kernel", ("default", "numpy"))
     @pytest.mark.parametrize("mode", ("per_output", "multi_output_tree"))
-    def test_exact_vs_reference_accumulation(self, data, mode):
+    def test_exact_vs_reference_accumulation(self, data, mode, kernel):
         X, Y = data
         gbt = GradientBoostedTrees(n_estimators=25, max_depth=4,
                                    multi_strategy=mode,
                                    random_state=0).fit(X, Y)
         Xb = gbt.binner_.transform(X)
-        assert np.array_equal(gbt.predict_binned(Xb),
-                              _gbt_reference_predict(gbt, Xb))
-        assert np.array_equal(gbt.predict(X),
-                              _gbt_reference_predict(gbt, Xb))
+        with _kernel(kernel):
+            assert np.array_equal(gbt.predict_binned(Xb),
+                                  _gbt_reference_predict(gbt, Xb))
+            assert np.array_equal(gbt.predict(X),
+                                  _gbt_reference_predict(gbt, Xb))
+            for name, batch in _edge_batches(gbt.binner_).items():
+                got = gbt.predict_binned(batch)
+                assert got.shape == (batch.shape[0], Y.shape[1]), name
+                assert np.array_equal(
+                    got, _gbt_reference_predict(gbt, batch)), name
 
     def test_subsampled_model_exact(self, data):
         X, Y = data
@@ -176,19 +210,18 @@ class TestQuantileHeadsFlatPredict:
     @pytest.mark.parametrize("kernel", ("default", "numpy"))
     def test_spread_exact_vs_per_tree_heads(self, data, headed, kernel):
         X, _ = data
-        Xb = headed.binner_.transform(X)
-        saved = native._state
-        if kernel == "numpy":
-            native._state = (None, "forced off for equality test")
-        try:
-            mean, spread = headed.predict_binned(Xb, uncertainty=True)
-        finally:
-            native._state = saved
-        lo = _quantile_reference_predict(headed, 0.1, Xb)
-        hi = _quantile_reference_predict(headed, 0.9, Xb)
-        assert np.array_equal(spread, np.clip((hi - lo) / 2.0, 0.0, None))
-        assert np.array_equal(mean, _gbt_reference_predict(headed, Xb))
-        assert spread.any()
+        batches = {"train": headed.binner_.transform(X),
+                   **_edge_batches(headed.binner_)}
+        for name, Xb in batches.items():
+            with _kernel(kernel):
+                mean, spread = headed.predict_binned(Xb, uncertainty=True)
+            lo = _quantile_reference_predict(headed, 0.1, Xb)
+            hi = _quantile_reference_predict(headed, 0.9, Xb)
+            assert np.array_equal(spread,
+                                  np.clip((hi - lo) / 2.0, 0.0, None)), name
+            assert np.array_equal(mean,
+                                  _gbt_reference_predict(headed, Xb)), name
+            assert spread.any() or not len(Xb), name
 
     def test_head_stacks_survive_pickle(self, data, headed):
         X, _ = data
@@ -211,3 +244,91 @@ class TestTreeNodeStatCaches:
             assert tree.n_leaves == tree._n_leaves
             assert tree.max_depth_reached == tree._max_depth_reached
             assert 0 <= tree.max_depth_reached <= 7
+
+
+# ----------------------------------------------------------------------
+# Native kernels vs numpy over adversarial inputs
+# ----------------------------------------------------------------------
+_CODES = st.sampled_from([0, 1, 254, 255]) | st.integers(0, 255)
+_SUMMANDS = (st.sampled_from([1e16, -1e16, 1.0, -0.5, 3.0, 1e-8])
+             | st.floats(-1e18, 1e18))
+
+
+@st.composite
+def _adversarial_ensembles(draw):
+    """Hand-built trees the fitter rarely grows: stumps, one-sided
+    chains far deeper than any production tree, bushy random trees, and
+    bin thresholds and codes at the uint8 extremes."""
+    n_features = draw(st.integers(1, 6))
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(("stump", "chain", "bushy")))
+        max_depth = 0 if shape == "stump" else draw(
+            st.integers(1, 40 if shape == "chain" else 7))
+        nodes: list[_Node] = []
+        first_id = sum(t.n_nodes for t in trees)
+
+        def grow(depth, split):
+            i = len(nodes)
+            nodes.append(_Node(value=np.array([float(first_id + i)])))
+            if depth < max_depth and split:
+                node = nodes[i]
+                node.feature = draw(st.integers(0, n_features - 1))
+                node.bin_threshold = draw(_CODES)
+                if shape == "chain":
+                    deeper = draw(st.booleans())
+                    node.left = grow(depth + 1, deeper)
+                    node.right = grow(depth + 1, not deeper)
+                else:
+                    node.left = grow(depth + 1, draw(st.booleans()))
+                    node.right = grow(depth + 1, draw(st.booleans()))
+            return i
+
+        grow(0, True)
+        trees.append(Tree(nodes, n_outputs=1, n_features=n_features))
+    n_rows = draw(st.integers(0, 40))
+    Xb = draw(arrays(np.uint8, (n_rows, n_features), elements=_CODES))
+    return trees, Xb
+
+
+@given(_adversarial_ensembles())
+@settings(max_examples=80, deadline=None)
+def test_route_leaves_adversarial_trees(case):
+    trees, Xb = case
+    flat = FlatEnsemble(trees)
+    assert flat.max_depth == max(t.max_depth_reached for t in trees)
+    with _kernel("default"):
+        leaves = flat.predict_leaves(Xb)
+    with _kernel("numpy"):
+        assert np.array_equal(flat.predict_leaves(Xb), leaves)
+    # Node values are ensemble-wide node ids: equal values, equal leaves.
+    for t, tree in enumerate(trees):
+        assert np.array_equal(flat.values[leaves[t]],
+                              tree.predict_binned(Xb))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_accumulate_leaves_matches_tree_loop(data):
+    n_trees = data.draw(st.integers(1, 12))
+    n_rows = data.draw(st.integers(0, 6))
+    n_nodes = data.draw(st.integers(1, 20))
+    k = data.draw(st.integers(1, 4))
+    width = data.draw(st.sampled_from((1, k)))
+    # Mixed magnitudes make a reordering of the adds change the sum.
+    values = data.draw(arrays(np.float64, (n_nodes, width),
+                              elements=_SUMMANDS, fill=st.nothing()))
+    leaves = data.draw(arrays(np.int32, (n_trees, n_rows),
+                              elements=st.integers(0, n_nodes - 1)))
+    cols = data.draw(arrays(np.int32, n_trees,
+                            elements=st.integers(0, k - width)))
+    base = data.draw(arrays(np.float64, k, elements=_SUMMANDS,
+                            fill=st.nothing()))
+    expected = np.tile(base, (n_rows, 1))
+    for t, col in enumerate(cols.tolist()):
+        expected[:, col:col + width] += values[leaves[t]]
+    got = np.tile(base, (n_rows, 1))
+    if native.accumulate_leaves(leaves, values, cols, width, got):
+        assert np.array_equal(got, expected)
+    else:
+        assert np.array_equal(got, np.tile(base, (n_rows, 1)))

@@ -101,7 +101,7 @@ def test_native_kernel_matches_numpy_fallback():
     gbt, _ = _fit_gbt(3)
     rng = np.random.default_rng(99)
     Xb = gbt.binner_.transform(rng.normal(size=(500, _N_FEATURES)))
-    flat = gbt._flat_ensemble()
+    flat, _ = gbt._flat_stack()
 
     leaves_default = flat.predict_leaves(Xb)
     saved = native._state
@@ -126,6 +126,12 @@ def test_native_disable_env(monkeypatch):
             np.zeros((1, 1), dtype=np.int32),
         )
         assert ok is False  # caller falls back to numpy
+        pred = np.zeros((1, 1))
+        assert native.accumulate_leaves(
+            np.zeros((1, 1), dtype=np.int32), np.ones((1, 1)),
+            np.zeros(1, dtype=np.int32), 1, pred,
+        ) is False
+        assert not pred.any()  # untouched: the fallback adds instead
         assert "REPRO_NATIVE" in native.kernel_info()
     finally:
         native._state = saved

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import Binner, TreeParams, grow_tree
+from repro.ml.boosting import GradientBoostedTrees
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.serialization import model_to_dict
+from repro.ml.tree import Binner, Tree, TreeParams, _Node, grow_tree
 
 
 class TestBinner:
@@ -94,9 +101,8 @@ class TestGrowTree:
         tree = grow_tree(Xb, -y, np.ones_like(y),
                          TreeParams(max_depth=10, min_samples_leaf=30),
                          n_bins=16)
-        for node in tree._nodes:
-            if node.feature < 0:
-                assert node.n_samples >= 30 or node.n_samples == 0
+        leaf_samples = tree._n_samples[tree._feat < 0]
+        assert ((leaf_samples >= 30) | (leaf_samples == 0)).all()
 
     def test_multi_output_leaves(self):
         rng = np.random.default_rng(4)
@@ -142,7 +148,7 @@ class TestGrowTree:
         rows = np.arange(50)
         tree = grow_tree(Xb, -y, np.ones_like(y), TreeParams(max_depth=2),
                          n_bins=16, rows=rows)
-        assert tree._nodes[0].n_samples == 50
+        assert tree._n_samples[0] == 50
 
     def test_leaf_scale(self):
         X, y = self._simple_data()
@@ -165,9 +171,128 @@ class TestGrowTree:
         Xb = Binner(16).fit_transform(X)
         tree = grow_tree(Xb, -y, np.ones_like(y), TreeParams(max_depth=4),
                          n_bins=16)
-        n_splits = sum(1 for n in tree._nodes if n.feature >= 0)
+        n_splits = int(np.count_nonzero(tree._feat >= 0))
+        assert np.count_nonzero(tree._gain[tree._feat >= 0] > 0) == n_splits
         assert tree.feature_split_counts().sum() == n_splits
         assert tree.n_leaves == tree.n_nodes - n_splits
+
+
+def _fixed_fit_data():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(240, 5))
+    Y = np.stack([X[:, 0] - X[:, 1] ** 2, np.sin(X[:, 2]) + X[:, 3]], axis=1)
+    return X, Y
+
+
+def _fixed_fits():
+    X, Y = _fixed_fit_data()
+    return [
+        GradientBoostedTrees(n_estimators=5, max_depth=3,
+                             random_state=0).fit(X, Y),
+        GradientBoostedTrees(n_estimators=5, max_depth=3,
+                             multi_strategy="multi_output_tree",
+                             subsample=0.8, random_state=1).fit(X, Y),
+        RandomForestRegressor(n_estimators=4, max_depth=4,
+                              random_state=2).fit(X, Y),
+    ]
+
+
+def _per_node_importances(trees, n_features, kind="gain"):
+    """Importances from a per-node loop over every tree, summing each
+    tree first and then across trees, as the models do."""
+    gain, count = np.zeros(n_features), np.zeros(n_features)
+    for tree in trees:
+        tree_gain, tree_count = np.zeros(n_features), np.zeros(n_features)
+        for feature, node_gain in zip(tree._feat.tolist(),
+                                      tree._gain.tolist()):
+            if feature >= 0:
+                tree_gain[feature] += node_gain
+                tree_count[feature] += 1
+        gain += tree_gain
+        count += tree_count
+    raw = count if kind == "weight" else np.where(
+        count > 0, gain / np.maximum(count, 1), 0.0)
+    return raw / raw.sum()
+
+
+def _old_pickle_state(tree):
+    """The ``__dict__`` a tree had while it kept its ``_Node`` list."""
+    nodes = [
+        _Node(feature=f, bin_threshold=t, value=np.array(v), left=lo,
+              right=hi, gain=g, n_samples=n)
+        for f, t, v, lo, hi, g, n in zip(
+            tree._feat.tolist(), tree._thr.tolist(), tree._values.tolist(),
+            tree._left.tolist(), tree._right.tolist(), tree._gain.tolist(),
+            tree._n_samples.tolist())
+    ]
+    return {"_nodes": nodes, "n_outputs": tree.n_outputs,
+            "n_features": tree.n_features, "_feat": tree._feat,
+            "_thr": tree._thr, "_left": tree._left, "_right": tree._right,
+            "_values": tree._values, "_n_leaves": tree._n_leaves,
+            "_max_depth_reached": tree._max_depth_reached}
+
+
+def _unpickle_old(tree):
+    old = Tree.__new__(Tree)
+    old.__dict__.update(_old_pickle_state(tree))
+    return pickle.loads(pickle.dumps(old))
+
+
+class TestArrayOnlyTree:
+    def test_importances_match_per_node_loop(self):
+        gbt, vec, rf = _fixed_fits()
+        for model in (gbt, vec):
+            trees = [t for round_trees in model.trees_ for t in round_trees]
+            for kind in ("gain", "weight"):
+                assert np.array_equal(
+                    model.feature_importances(kind),
+                    _per_node_importances(trees, model.n_features_, kind))
+        assert np.array_equal(rf.feature_importances(),
+                              _per_node_importances(rf.trees_,
+                                                    rf.n_features_))
+
+    def test_model_to_dict_unchanged(self):
+        # SHA-256 of the JSON written while trees kept their node list.
+        expected = [
+            "d2dfd7bca7981e15a9e4652b7df9679d5a7290c6fecf59353c5a0df5f45f8528",
+            "c5ea5ec717fbf36f392cc36ac34288dda0f82a3544fb59edef1ac2e867387749",
+            "99062afa0bf9d442137453afb9034120466a428fef19e217fcd3b26edbd53bdb",
+        ]
+        got = [
+            hashlib.sha256(json.dumps(model_to_dict(model),
+                                      sort_keys=True).encode()).hexdigest()
+            for model in _fixed_fits()
+        ]
+        assert got == expected
+
+    def test_tree_keeps_no_node_list(self):
+        tree = _fixed_fits()[2].trees_[0]
+        assert "_nodes" not in tree.__dict__
+        assert all(isinstance(v, (int, np.ndarray))
+                   for v in tree.__dict__.values())
+        assert tree._gain.dtype == np.float64
+        assert tree._n_samples.dtype == np.int64
+
+    def test_old_pickle_loads_as_arrays(self):
+        X, _ = _fixed_fit_data()
+        gbt, vec, rf = _fixed_fits()
+        for model in (gbt, vec):
+            Xb = model.binner_.transform(X)
+            want_pred = model.predict_binned(Xb)
+            want_imp = model.feature_importances()
+            model.trees_ = [[_unpickle_old(t) for t in round_trees]
+                            for round_trees in model.trees_]
+            assert np.array_equal(model.predict_binned(Xb), want_pred)
+            assert np.array_equal(model.feature_importances(), want_imp)
+        for tree in rf.trees_:
+            clone = _unpickle_old(tree)
+            assert "_nodes" not in clone.__dict__
+            assert clone.__dict__.keys() == tree.__dict__.keys()
+            for name, value in tree.__dict__.items():
+                assert np.array_equal(clone.__dict__[name], value), name
+            Xb = rf.binner_.transform(X)
+            assert np.array_equal(clone.predict_binned(Xb),
+                                  tree.predict_binned(Xb))
 
 
 class TestTreeParamsValidation:
@@ -209,7 +334,7 @@ def test_property_root_value_is_shrunk_mean(n, seed):
     Xb = Binner(8).fit_transform(X)
     tree = grow_tree(Xb, -y, np.ones_like(y),
                      TreeParams(max_depth=0, reg_lambda=0.0), n_bins=8)
-    assert tree._nodes[0].value[0] == pytest.approx(y.mean())
+    assert tree._values[0, 0] == pytest.approx(y.mean())
 
 
 @given(seed=st.integers(0, 10_000))
