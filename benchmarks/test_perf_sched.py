@@ -1,13 +1,14 @@
 """Microbenchmark: fast scheduling engine + flat ensemble inference.
 
 Times the optimized :class:`repro.sched.Scheduler` against the frozen
-pre-optimization :class:`repro.sched._reference.ReferenceScheduler` on
+pre-optimization ``ReferenceScheduler`` (``tests/sched_reference.py``) on
 a contended 10,000-job workload (verifying bit-identical schedules on
-the way), and the flat vectorized ensemble predict against the per-tree
-traversal it replaced (verifying exact equality).  Throughput numbers —
-scheduling events/sec and prediction rows/sec — are recorded to
-``benchmarks/BENCH_sched.json`` so the performance trajectory is
-tracked from this PR onward.
+the way) for the model strategy and for the blind ``random`` and
+``round_robin`` baselines, and the flat vectorized ensemble predict
+against the per-tree traversal it replaced (verifying exact equality).
+Throughput numbers — scheduling events/sec and prediction rows/sec — are
+recorded to ``benchmarks/BENCH_sched.json`` so the performance
+trajectory is tracked from this PR onward.
 
 Regression gate: the committed ``BENCH_sched.json`` is read *before*
 being overwritten; if a measured speedup ratio fell to less than half
@@ -19,6 +20,7 @@ wall times keeps the gate meaningful across differently-sized CI hosts.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -27,9 +29,12 @@ import numpy as np
 from repro.arch.machines import SYSTEM_ORDER
 from repro.ml.boosting import GradientBoostedTrees
 from repro.sched import ClusterState, Job, Scheduler, strategy_by_name
-from repro.sched._reference import ReferenceScheduler
 
 from conftest import record_bench
+
+# The frozen reference is a test oracle under tests/, outside the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sched_reference import ReferenceScheduler  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_sched.json"
 
@@ -39,6 +44,8 @@ N_JOBS = 10_000
 MIN_SCHED_SPEEDUP = 5.0
 #: A measured ratio below half its committed value is a regression.
 REGRESSION_FACTOR = 2.0
+#: Blind strategies raced against the reference besides the model.
+BLIND_STRATEGIES = ("random", "round_robin")
 
 
 def _workload(n: int, seed: int = 7) -> list[Job]:
@@ -72,17 +79,15 @@ def _baseline() -> dict:
     return {}
 
 
-def test_perf_sched_and_predict():
-    results: dict = {}
-
-    # --- scheduler -----------------------------------------------------
-    jobs = _workload(N_JOBS)
+def _race(strategy: str, jobs: list[Job]) -> dict:
+    """Time the engine against the reference on *jobs* with one
+    strategy, after checking the two schedules are bit-identical."""
     t0 = time.perf_counter()
     ref_result = ReferenceScheduler(
-        strategy_by_name("model"), _cluster()).run(jobs)
+        strategy_by_name(strategy, seed=11), _cluster()).run(jobs)
     t_ref = time.perf_counter() - t0
 
-    fast = Scheduler(strategy_by_name("model"), _cluster())
+    fast = Scheduler(strategy_by_name(strategy, seed=11), _cluster())
     t0 = time.perf_counter()
     fast_result = fast.run(jobs)
     t_fast = time.perf_counter() - t0
@@ -94,16 +99,28 @@ def test_perf_sched_and_predict():
     assert np.array_equal(fast_result.end_times, ref_result.end_times)
     assert fast_result.backfilled == ref_result.backfilled
 
-    sched_speedup = t_ref / t_fast
-    events_per_sec = fast.last_run_stats.sched_events / t_fast
-    results["sched"] = {
-        "n_jobs": N_JOBS,
-        "strategy": "model",
-        "events_per_sec": round(events_per_sec),
+    return {
+        "n_jobs": len(jobs),
+        "strategy": strategy,
+        "events_per_sec": round(fast.last_run_stats.sched_events / t_fast),
         "wall_s_fast": round(t_fast, 3),
         "wall_s_reference": round(t_ref, 3),
-        "speedup_vs_reference": round(sched_speedup, 2),
+        "speedup_vs_reference": round(t_ref / t_fast, 2),
     }
+
+
+def test_perf_sched_and_predict():
+    results: dict = {}
+
+    # --- scheduler -----------------------------------------------------
+    jobs = _workload(N_JOBS)
+    results["sched"] = _race("model", jobs)
+    sched_speedup = results["sched"]["speedup_vs_reference"]
+    # The blind Fig. 7 baselines take the engine's declared-dependency
+    # shortcuts (one answer per started index, or per job) that the
+    # model strategy never does.
+    for strategy in BLIND_STRATEGIES:
+        results[f"sched_{strategy}"] = _race(strategy, jobs)
 
     # --- ensemble inference -------------------------------------------
     rng = np.random.default_rng(0)
@@ -155,8 +172,11 @@ def test_perf_sched_and_predict():
         f"flat predict is slower than the per-tree path "
         f"({predict_speedup:.2f}x)")
 
-    for section, key in (("sched", "speedup_vs_reference"),
-                         ("predict", "speedup_vs_per_tree")):
+    gated = [("sched", "speedup_vs_reference"),
+             ("predict", "speedup_vs_per_tree")]
+    gated += [(f"sched_{strategy}", "speedup_vs_reference")
+              for strategy in BLIND_STRATEGIES]
+    for section, key in gated:
         committed = baseline.get(section, {}).get(key)
         if committed is None:
             continue

@@ -18,28 +18,38 @@ instead of recomputed:
 
 * **Queue** — entries are ``(R1 key, job_id, job)`` triples kept in
   sorted order; R1/R2 keys are computed *once* per job at admission and
-  new arrivals are merged with :func:`bisect.insort` (O(log n)
-  comparisons per arrival) instead of re-sorting the whole queue.
-  Lazily-deleted entries advance behind a head index with periodic
-  compaction, preserving the seed implementation's backfill-window
-  layout exactly.
+  new arrivals are merged by bisection (O(log n) comparisons per
+  arrival) instead of re-sorting the whole queue.  Lazily-deleted
+  entries advance behind a head index with periodic compaction,
+  preserving the seed implementation's backfill-window layout exactly.
 * **Backfill window** — the bounded near-head window is decorated with
   the precomputed R2 keys, so the per-event window sort makes no Python
-  key calls.  When the strategy declares ``stateless_assign`` and no
-  machine has a free node, the scan is skipped outright, and during a
-  scan candidates larger than the largest free block are filtered
-  before the strategy is consulted — both no-ops by construction (no
-  candidate could have started), so schedules are unchanged.
+  key calls; when R1 and R2 agree the queue already is the window.
+* **Declared assign dependencies** — a strategy's ``assign_depends``
+  (see :mod:`repro.sched.strategies`) says how far an answer may be
+  reused.  ``"load"`` strategies are not asked about candidates larger
+  than every free block, and the scan is skipped when no node is free.
+  An ``"index"`` strategy is asked once per started-job index, and the
+  scan ends when that machine has no free node.  A ``"job"`` strategy is
+  asked once per job and its answer held until the job is resolved;
+  when R1 and R2 agree, the window is kept as an index whose live
+  entries are bucketed by chosen machine, grown in queue order (the
+  reference's first-call order), and a pass scans only the buckets of
+  up machines with a free node, then starts the winners in queue
+  order.  Every shortcut skips only work that could not start a job or
+  change a strategy's state, so schedules are unchanged.  A strategy
+  without the declaration gets every call the reference engine makes.
 * **Machines** — :class:`~repro.sched.machines.MachineState` keeps its
   running allocations in a sorted list, so the EASY shadow time is a
   prefix walk with no per-event sort.
 
 The engine is *schedule-bit-identical* to the frozen seed
-implementation in :mod:`repro.sched._reference` — pinned by
-``tests/test_sched_equivalence.py`` across strategies, queue policies,
-arrival patterns, and fault profiles.  Policy keys must therefore be
-total orders (all built-in policies tie-break on job id) and pure
-functions of the job, which the policies module already guarantees.
+implementation kept as a test oracle in ``tests/sched_reference.py`` —
+pinned by ``tests/test_sched_equivalence.py`` across strategies, queue
+policies, arrival patterns, and fault profiles.  Policy keys must
+therefore be total orders (all built-in policies tie-break on job id)
+and pure functions of the job, which the policies module already
+guarantees.
 
 Faults only add events: passing a :class:`repro.resilience.FaultInjector`
 that can fire (``faults=``) puts node failures, node recoveries, job
@@ -56,7 +66,7 @@ once every job has started, so fault support costs nothing when off.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect, insort
+from bisect import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +74,7 @@ import numpy as np
 from repro import telemetry
 from repro.telemetry import flightrec
 from repro.sched.job import Job
-from repro.sched.machines import ClusterState
+from repro.sched.machines import ClusterState, MachineState
 from repro.sched.policies import FCFSPolicy
 
 __all__ = ["Scheduler", "ScheduleResult", "SimStats"]
@@ -215,6 +225,11 @@ class Scheduler:
         """Simulate scheduling of *jobs*; returns per-job outcomes."""
         if not jobs:
             raise ValueError("no jobs to schedule")
+        seen: set[int] = set()
+        for job in jobs:
+            if job.job_id in seen:
+                raise ValueError(f"duplicate job_id {job.job_id}")
+            seen.add(job.job_id)
         # One boundary event per run (not per job): post-mortem context
         # at ring-friendly volume, and the disabled-mode branch rides
         # the scheduler perf gate in benchmarks/test_perf_telemetry.py.
@@ -274,7 +289,13 @@ class Scheduler:
         strategy = self.strategy
         assign = strategy.assign
         release = getattr(strategy, "release", None)
-        stateless = getattr(strategy, "stateless_assign", False)
+        depends = getattr(strategy, "assign_depends", None)
+        by_index = depends == "index"
+        by_job = depends == "job"
+        by_load = depends == "load"
+        # The engine may skip an assign call that provably cannot start
+        # a job only when the call has no side effect to preserve.
+        stateless = by_index or by_load
         machines = cluster.machines
         machine_list = list(machines.values())
         max_total = max(m.total_nodes for m in machine_list)
@@ -285,12 +306,29 @@ class Scheduler:
         walltime_factor = self.walltime_factor
         trace = self.trace
         # A schedule pass may be elided (see `can_skip` below) only when
-        # the strategy has no call-order-dependent state (the protocol
-        # promises stateful strategies the reference call sequence),
-        # tracing is off (a skipped pass would drop its "reserve" event),
-        # and no fault can fire (kills, recoveries and requeues would
-        # each have to invalidate the proof).
+        # assign calls have no side effect to preserve (the protocol
+        # promises an undeclared strategy every reference call, and a
+        # "job" strategy its first draws in order), tracing is off (a
+        # skipped pass would drop its "reserve" event), and no fault can
+        # fire (kills, recoveries and requeues would each have to
+        # invalidate the proof).
         skippable = stateless and not trace and not faulty
+        # A "job" strategy's answers, held until the job is resolved
+        # (kept on the instance so a run's leftovers can be inspected).
+        chosen: dict[int, MachineState] = {}
+        self._chosen = chosen
+        # Backfill-window index of a "job" strategy when queue order is
+        # backfill order: the window is the live entries of
+        # ``queue[head_idx + 1 : win_hi]`` (`win_live` of them), each
+        # in the bucket of its chosen machine, in queue order.  It is
+        # synced to the head at `win_head`; an insertion below `win_hi`
+        # or at the head invalidates it (`win_ok`), the compactions
+        # shift it.
+        indexed = by_job and same_order and backfill
+        win_ok = False
+        win_head = win_hi = win_live = 0
+        buckets = {m: [] for m in machine_list}
+        bucket_items = list(buckets.items())
 
         n = len(jobs)
         by_id = {j.job_id: j for j in jobs}
@@ -370,8 +408,19 @@ class Scheduler:
             strategy-cache entries can be evicted."""
             nonlocal resolved
             resolved += 1
+            if by_job:
+                del chosen[jid]
             if release is not None:
                 release(jid)
+
+        def choose(job: Job):
+            """A "job" strategy's machine: drawn on first use, then held
+            until the job is resolved."""
+            machine = chosen.get(job.job_id)
+            if machine is None:
+                machine = chosen[job.job_id] = machines[
+                    assign(job, started, cluster)]
+            return machine
 
         def start_job(job: Job, machine_name: str) -> None:
             nonlocal started
@@ -478,17 +527,25 @@ class Scheduler:
                     # (equivalent to the reference engine's whole-queue
                     # compaction by the invariant above).  Requeued jobs
                     # are still marked scheduled here, so a stale copy
-                    # of one goes too.
+                    # of one goes too.  The split at `win_hi` keeps the
+                    # window index on the same entries.
                     hi = head_idx + 1 + window_span
-                    queue[head_idx:hi] = [
-                        e for e in queue[head_idx:hi]
-                        if e[1] not in scheduled
+                    cut = win_hi if win_ok else head_idx
+                    below = [e for e in queue[head_idx:cut]
+                             if e[1] not in scheduled]
+                    queue[head_idx:hi] = below + [
+                        e for e in queue[cut:hi] if e[1] not in scheduled
                     ]
+                    win_hi = head_idx + len(below)
                     interior_stale = 0
                     can_skip = False  # live entries shifted into the window
                 for jid in readmit:
                     scheduled.discard(jid)
-                    insort(queue, (r1k[jid], jid, by_id[jid]), head_idx)
+                    entry = (r1k[jid], jid, by_id[jid])
+                    pos = bisect(queue, entry, head_idx)
+                    queue.insert(pos, entry)
+                    if pos < win_hi:
+                        win_ok = False
                 readmit.clear()
                 win_end = head_idx + 1 + window_span
                 qlen = len(queue)
@@ -507,6 +564,8 @@ class Scheduler:
                     qlen += 1
                     if pos < win_end:
                         can_skip = False
+                    if pos < win_hi:
+                        win_ok = False  # it entered the window or the head
                     arrival_idx += 1
 
             # -- schedule pass -------------------------------------------
@@ -519,14 +578,27 @@ class Scheduler:
                         # head_idx directly, below).
                         head_idx += 1
                         interior_stale -= 1
+                    if win_ok and head_idx != win_head:
+                        # The head moved on.  A new head from inside the
+                        # window is the first entry of its bucket (the
+                        # live entries before it have all started).
+                        if head_idx < win_hi:
+                            del buckets[chosen[queue[head_idx][1]]][0]
+                            win_live -= 1
+                        else:
+                            win_hi = head_idx + 1
+                        win_head = head_idx
                     if head_idx > 64 and head_idx * 2 > len(queue):
                         del queue[:head_idx]
-                        head_idx = 0
+                        win_hi -= head_idx
+                        win_head = head_idx = 0
                     if head_idx >= len(queue):
                         break
                     head = queue[head_idx][2]
                     try:
-                        m_name = assign(head, started, cluster)
+                        machine = (choose(head) if by_job
+                                   else machines[assign(head, started,
+                                                        cluster)])
                     except RuntimeError:
                         # No usable machine: transient while offline
                         # nodes cause it, a configuration error when the
@@ -534,7 +606,7 @@ class Scheduler:
                         if not faulty or head.nodes_required > max_total:
                             raise
                         break
-                    machine = machines[m_name]
+                    m_name = machine.name
                     if (not machine.can_ever_fit(head.nodes_required)
                             and (not faulty
                                  or head.nodes_required
@@ -554,12 +626,13 @@ class Scheduler:
 
                     if not backfill or head_idx + 1 >= len(queue):
                         break
-                    total_free = sum(m.free_nodes for m in machine_list)
-                    if stateless and total_free == 0 and not trace:
-                        # No machine can start anything and the strategy
-                        # has no call-order-dependent state, so the whole
-                        # backfill pass would be a no-op; skip it.
-                        break
+                    if stateless:
+                        total_free = sum(m.free_nodes for m in machine_list)
+                        if total_free == 0 and not trace:
+                            # No machine can start anything and assign
+                            # has no side effect, so the whole backfill
+                            # pass would be a no-op; skip it.
+                            break
                     # EASY: reserve head at its machine's shadow time,
                     # then scan a bounded near-head window in R2 order.
                     try:
@@ -569,6 +642,68 @@ class Scheduler:
                     if trace:
                         events.append((shadow, "reserve", head.job_id,
                                        m_name))
+                    if indexed:
+                        if not win_ok:
+                            for bucket in buckets.values():
+                                bucket.clear()
+                            win_head, win_hi, win_live = head_idx, head_idx + 1, 0
+                            win_ok = True
+                        # Grow the index to the reference window: the
+                        # first `depth` live entries among the next
+                        # `window_span`.  Entries are drawn as they
+                        # enter, in queue order: the reference's
+                        # first-call order.
+                        cap = min(len(queue), head_idx + 1 + window_span)
+                        while win_live < depth and win_hi < cap:
+                            e = queue[win_hi]
+                            win_hi += 1
+                            if e[1] not in scheduled:
+                                buckets[choose(e[2])].append(e)
+                                win_live += 1
+                        # Candidates on different machines never compete
+                        # for nodes, so each bucket of an up machine with
+                        # a free node is scanned alone, in queue order,
+                        # with the reference's tests.
+                        winners = []
+                        for m, bucket in bucket_items:
+                            free = m.free_nodes
+                            if not free or not bucket or m.state != "up":
+                                continue
+                            usable = m.total_nodes - m.offline_nodes
+                            c_name = m.name
+                            guarded = conservative or m is machine
+                            won = []
+                            for i, e in enumerate(bucket):
+                                cand = e[2]
+                                need = cand.nodes_required
+                                if need > free or need > usable:
+                                    continue
+                                if guarded:
+                                    estimate = cand.runtime_on(c_name)
+                                    if cand.job_id in progress:
+                                        estimate *= remaining(cand.job_id)
+                                    if now + estimate * walltime_factor > shadow:
+                                        continue
+                                won.append(i)
+                                free -= need
+                                if not free:
+                                    break
+                            for i in reversed(won):
+                                winners.append(bucket.pop(i))
+                        # Start in queue order, as the reference does, so
+                        # allocation ids, fault events and the trace match.
+                        winners.sort()
+                        for e in winners:
+                            cand = e[2]
+                            c_name = chosen[cand.job_id].name
+                            start_job(cand, c_name)
+                            if trace:
+                                events.append((now, "backfill_start",
+                                               cand.job_id, c_name))
+                        win_live -= len(winners)
+                        interior_stale += len(winners)
+                        backfilled += len(winners)
+                        break  # head still blocked; wait for an event
                     if same_order:
                         # Queue order *is* R2 order: scan the raw window
                         # in place, counting live entries up to `depth`
@@ -603,8 +738,10 @@ class Scheduler:
                         window.sort()
                         cands = [e[2] for e in window[:depth]]
                         lo, hi, check_stale = 0, len(cands), False
-                    max_free = max(m.free_nodes for m in machine_list)
+                    if by_load:
+                        max_free = max(m.free_nodes for m in machine_list)
                     taken = 0
+                    epoch = -1
                     for i in range(lo, hi):
                         if taken == depth:
                             break
@@ -617,20 +754,40 @@ class Scheduler:
                             cand = cands[i]
                         taken += 1
                         need = cand.nodes_required
-                        if (stateless and need > max_free
-                                and need <= max_total):
-                            # No machine has a block this large free
-                            # right now, so the candidate cannot start;
-                            # skipping the (stateless) strategy call
-                            # changes nothing.
-                            continue
-                        try:
-                            c_name = assign(cand, started, cluster)
-                        except RuntimeError:
-                            if not faulty:
-                                raise
-                            continue  # no usable machine while nodes are out
-                        c_machine = machines[c_name]
+                        if by_index:
+                            if started != epoch:
+                                # One answer per started index.  While
+                                # its machine has no free node, nothing
+                                # can start, so the index cannot move.
+                                epoch = started
+                                try:
+                                    c_machine = machines[
+                                        assign(cand, started, cluster)]
+                                except RuntimeError:
+                                    if not faulty:
+                                        raise
+                                    break
+                                if (c_machine.state != "up"
+                                        or not c_machine.free_nodes):
+                                    break
+                        else:
+                            if (by_load and need > max_free
+                                    and need <= max_total):
+                                # No machine has a block this large free
+                                # right now, so the candidate cannot
+                                # start; skipping the call changes
+                                # nothing.
+                                continue
+                            try:
+                                c_machine = (
+                                    choose(cand) if by_job
+                                    else machines[assign(cand, started,
+                                                         cluster)])
+                            except RuntimeError:
+                                if not faulty:
+                                    raise
+                                continue  # no usable machine while nodes are out
+                        c_name = c_machine.name
                         if (c_machine.total_nodes
                                 - c_machine.offline_nodes < need):
                             continue  # can_ever_fit, inlined
@@ -660,10 +817,13 @@ class Scheduler:
                         if trace:
                             events.append((now, "backfill_start",
                                            cand.job_id, c_name))
-                        total_free -= need
-                        if stateless and total_free <= 0:
-                            break
-                        max_free = max(m.free_nodes for m in machine_list)
+                        if stateless:
+                            total_free -= need
+                            if total_free <= 0:
+                                break
+                            if by_load:
+                                max_free = max(m.free_nodes
+                                               for m in machine_list)
                     break  # head still blocked; wait for an event
                 can_skip = skippable
 

@@ -26,15 +26,26 @@ simulator consults:
   permanently given up, in failure-aware mode).  Strategies use it to
   evict per-job cache entries, so sticky caches no longer grow without
   bound across a run (or across runs when an instance is reused).
-* ``stateless_assign`` (bool) — declares that ``assign`` has no
-  call-order-dependent side effects (any internal caching is a pure
-  function of the job and cluster).  The scheduler then skips assign
-  calls whose outcome provably cannot start a job — e.g. backfill
-  candidates larger than every free block.  Strategies whose assign
-  mutates shared state per call (:class:`RandomStrategy` advances an
-  RNG, :class:`UserRRStrategy` advances a rotation) must leave this
-  False so they see the exact same call sequence as the reference
-  engine.
+* ``assign_depends`` — declares what the answer of ``assign`` depends
+  on, so the scheduler can reuse it instead of asking again:
+
+  - ``"index"``: only the started-job index and the cluster's machine
+    names (:class:`RoundRobinStrategy`).  The scheduler asks once per
+    index and ends a backfill scan as soon as that machine has no free
+    node.
+  - ``"job"``: fixed per job once drawn; the first draw may depend on
+    the order of first-time calls (an RNG or a rotation advances), but
+    never on load or index, so it cannot fail on offline nodes
+    (:class:`RandomStrategy`, :class:`UserRRStrategy`).  The scheduler
+    asks once per job, in the reference engine's first-call order, and
+    keeps the answer until the job is released.
+  - ``"load"``: a pure function of the job and the current cluster
+    state (the model-based strategies).  The scheduler skips calls
+    whose answer provably cannot start a job, e.g. for backfill
+    candidates larger than every free block.
+
+  Without the attribute the scheduler makes every call the reference
+  engine makes, in the same order.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ class RoundRobinStrategy:
     """Rotate across all machines by started-job index."""
 
     name = "round_robin"
-    stateless_assign = True  # pure function of (index, cluster)
+    assign_depends = "index"
 
     def assign(self, job: Job, index: int, cluster: ClusterState) -> str:
         names = cluster.names
@@ -82,15 +93,15 @@ class RoundRobinStrategy:
 class RandomStrategy:
     """Uniform random machine, deterministic and sticky per job id.
 
-    Each first-time assignment draws from a shared RNG, so the call
-    *order* determines the outcome — the scheduler must not elide calls
-    (``stateless_assign`` stays False).  Entries are evicted via
+    Each first-time assignment draws from a shared RNG, so the order of
+    first-time calls determines the outcome.  Entries are evicted via
     :meth:`release` once the scheduler guarantees the job will never be
     assigned again, bounding the cache to the in-flight job set.
     """
 
     name = "random"
     takes_seed = True
+    assign_depends = "job"
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -115,11 +126,12 @@ class UserRRStrategy:
     """GPU apps round-robin over GPU systems, CPU apps over CPU systems.
 
     Like :class:`RandomStrategy`, first-time assignments advance shared
-    rotation counters, so call order matters (``stateless_assign``
-    False) and sticky entries are evicted via :meth:`release`.
+    rotation counters, so the order of first-time calls matters, and
+    sticky entries are evicted via :meth:`release`.
     """
 
     name = "user_rr"
+    assign_depends = "job"
 
     def __init__(self) -> None:
         self._gpu_index = 0
@@ -171,7 +183,7 @@ class ModelBasedStrategy:
     name = "model"
     #: Which RPV each job carries for this strategy.
     rpv_attr = "predicted_rpv"
-    stateless_assign = True  # memo is a pure cache; no call-order state
+    assign_depends = "load"  # the memo is a pure cache of the job's RPVs
 
     def __init__(self, systems: tuple[str, ...] = SYSTEM_ORDER):
         self.systems = tuple(systems)

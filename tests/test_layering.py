@@ -55,24 +55,23 @@ def test_tool_detects_a_planted_violation(tmp_path, monkeypatch):
 def test_tool_detects_an_engine_importing_the_frozen_oracle(
         tmp_path, monkeypatch):
     # The equivalence suite compares the engine with the frozen
-    # reference; any package module reaching into the reference (in any
-    # import spelling) would let it compare the engine with itself.
+    # reference under tests/; any package module reaching into tests/
+    # (in any import spelling) would let it compare the engine with
+    # itself, and would ship a dependency on the test suite.
     tool = _load_tool()
     sched = tmp_path / "src" / "repro" / "sched"
     sched.mkdir(parents=True)
     (sched / "__init__.py").write_text("")
-    (sched / "_reference.py").write_text(
-        "from repro.sched.simulator import ScheduleResult\n"
-    )
     (sched / "simulator.py").write_text(
-        "from repro.sched._reference import ReferenceScheduler\n"
+        "from tests.sched_reference import ReferenceScheduler\n"
     )
-    (sched / "strategies.py").write_text("from repro.sched import _reference\n")
-    (sched / "metrics.py").write_text("from . import _reference\n")
+    (sched / "strategies.py").write_text("import tests.sched_reference\n")
+    (sched / "metrics.py").write_text("from tests import sched_reference\n")
     (sched / "job.py").write_text("from repro.sched import simulator\n")
     monkeypatch.setattr(tool, "SRC", tmp_path / "src")
     problems = tool.violations()
     assert len(problems) == 3
     for module in ("simulator", "strategies", "metrics"):
         assert any(p.startswith(f"repro.sched.{module} ")
-                   and "repro.sched._reference" in p for p in problems)
+                   and "tests" in p and "no repro module" in p
+                   for p in problems)

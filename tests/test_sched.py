@@ -219,6 +219,17 @@ class TestScheduler:
         with pytest.raises(ValueError):
             Scheduler(RoundRobinStrategy(), _small_cluster()).run([])
 
+    @pytest.mark.parametrize("name", ("model", "random", "round_robin"))
+    def test_duplicate_job_ids_rejected_up_front(self, name):
+        # Without the check the loop would run to a bogus deadlock: the
+        # second job with an id is never seen as unresolved work.
+        jobs = [_job(0, rpv=[1, 2, 3, 4]), _job(7, rpv=[1, 2, 3, 4]),
+                _job(7, rpv=[2, 1, 3, 4])]
+        strategy = strategy_by_name(name, seed=1)
+        with pytest.raises(ValueError, match="duplicate job_id 7"):
+            Scheduler(strategy, _small_cluster()).run(jobs)
+        assert getattr(strategy, "_cache", {}) == {}  # nothing ran
+
     def test_fcfs_order_on_single_machine(self):
         cluster = ClusterState({"Quartz": 1})
         jobs = [_job(i, runtime=10.0) for i in range(3)]

@@ -3,26 +3,37 @@
 The fast engine in :mod:`repro.sched.simulator` (incremental queue,
 indexed machine state, strategy memoization) must produce *exactly* the
 same :class:`~repro.sched.simulator.ScheduleResult` as the frozen seed
-implementation in :mod:`repro.sched._reference` — same placements, same
+implementation in ``tests/sched_reference.py`` — same placements, same
 float start/end times bit for bit, same backfill count, same trace and
 fault statistics.  These tests sweep the configuration space: every
 strategy, every R1 x R2 queue-policy pairing, batch and Poisson
 arrivals, conservative and EASY backfilling, inflated walltime
 estimates, small backfill depth (stressing stale-entry handling), and
 the failure-aware loop under every fault profile with and without
-checkpointing.
+checkpointing.  They also pin the shortcuts a strategy's
+``assign_depends`` declaration allows: the blind strategies' schedules,
+an undeclared strategy's exact call sequence, and ``random``'s
+first-draw order.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.arch.machines import SYSTEM_ORDER
 from repro.resilience import FAULT_PROFILES, FaultInjector, RetryPolicy
-from repro.sched import ClusterState, Job, Scheduler, strategy_by_name
-from repro.sched._reference import ReferenceScheduler
+from repro.sched import (
+    ClusterState,
+    Job,
+    RandomStrategy,
+    Scheduler,
+    strategy_by_name,
+)
 from repro.sched.policies import policy_by_name
+from tests.sched_reference import ReferenceScheduler
 
 STRATEGIES = ("round_robin", "random", "user_rr", "model", "oracle",
               "uncertainty")
@@ -151,7 +162,7 @@ class TestReliableEquivalence:
         # engine never evicted them (the unbounded-cache bug), so the
         # reference comparison for run B clears the reference
         # strategy's cache by hand — the RNG trajectories through run A
-        # are identical (same assign call sequence), making run B
+        # are identical (same first-draw order), making run B
         # bit-comparable.
         jobs_a = make_jobs(seed=53, n=60)
         jobs_b = make_jobs(seed=59, n=60)
@@ -165,16 +176,146 @@ class TestReliableEquivalence:
         assert_identical(fast.run(jobs_b), ref.run(jobs_b))
 
     def test_strategy_caches_drain(self):
-        # After a fault-free run every job started exactly once, so all
-        # per-job cache entries must have been released.
+        # After a run every job is resolved (started exactly once when
+        # fault-free; finished or given up under faults), so all per-job
+        # cache entries must have been released: the strategy's own and
+        # the choices the engine holds for a "job" strategy.
         jobs = make_jobs(seed=61, n=80)
-        for name in ("random", "user_rr", "model"):
+        for name, faults in itertools.product(("random", "user_rr", "model"),
+                                              (None, "heavy")):
             strat = strategy_by_name(name, seed=5)
-            Scheduler(strat, cluster=small_cluster()).run(jobs)
+            injector = (None if faults is None
+                        else FaultInjector(FAULT_PROFILES[faults], seed=7))
+            sched = Scheduler(strat, cluster=small_cluster(),
+                              faults=injector,
+                              retry=RetryPolicy(max_attempts=3))
+            sched.run(jobs)
             cache = getattr(strat, "_cache", None)
             if cache is None:
                 cache = strat._pref_cache
             assert cache == {}
+            assert sched._chosen == {}
+
+
+class RecordingStrategy:
+    """Random placement that logs every ``assign`` call and declares no
+    ``assign_depends``, so the engine owes it the reference's calls."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.inner = strategy_by_name("random", seed=5)
+        self.calls: list[tuple[int, int]] = []
+
+    def assign(self, job, index, cluster):
+        self.calls.append((job.job_id, index))
+        return self.inner.assign(job, index, cluster)
+
+
+class DrawLoggingRandom(RandomStrategy):
+    """``random`` that logs the job id of every first-time draw."""
+
+    def __init__(self, seed: int = 5):
+        super().__init__(seed)
+        self.draws: list[int] = []
+
+    def assign(self, job, index, cluster):
+        if job.job_id not in self._cache:
+            self.draws.append(job.job_id)
+        return super().assign(job, index, cluster)
+
+
+def blind_configs():
+    """Small configurations where the blind-strategy shortcuts bind:
+    depths 1-3 with batch arrivals (so stale entries fill the 4 x depth
+    raw span), both backfill modes, inflated estimates, and heavy faults
+    with checkpointing, each traced and untraced."""
+    for depth, conservative, factor, faulty, trace in itertools.product(
+            (1, 2, 3), (False, True), (1.0, 2.0), (False, True),
+            (False, True)):
+        yield dict(backfill_depth=depth, conservative=conservative,
+                   walltime_factor=factor, faulty=faulty, trace=trace)
+
+
+def engine_kwargs(faulty: bool, seed: int, **kwargs) -> dict:
+    kwargs["cluster"] = small_cluster()
+    if faulty:
+        kwargs["faults"] = FaultInjector(FAULT_PROFILES["heavy"], seed=seed)
+        kwargs["retry"] = RetryPolicy(max_attempts=4, checkpoint=True)
+    return kwargs
+
+
+def record_both(new_strategy, log: str, jobs, faults=None, **kwargs):
+    """Run both engines, each with a fresh strategy from *new_strategy*,
+    and return the list each strategy kept in its *log* attribute."""
+    for key in ("queue_policy", "backfill_policy"):
+        if key in kwargs:
+            kwargs[key] = policy_by_name(kwargs[key])
+    logs = []
+    for engine in (Scheduler, ReferenceScheduler):
+        strategy = new_strategy()
+        injector = (None if faults is None
+                    else FaultInjector(FAULT_PROFILES[faults], seed=4))
+        engine(strategy, cluster=small_cluster(), faults=injector,
+               **kwargs).run(jobs)
+        logs.append(getattr(strategy, log))
+    return logs
+
+
+class TestDeclaredDependencies:
+    """The engine reuses a strategy's answer as far as its
+    ``assign_depends`` declaration allows, and no further."""
+
+    @pytest.mark.parametrize("strategy", ("round_robin", "random",
+                                          "user_rr"))
+    @pytest.mark.parametrize("arrivals", ("batch", "poisson"))
+    def test_blind_strategies_sweep(self, strategy, arrivals):
+        for i, config in enumerate(blind_configs()):
+            jobs = make_jobs(seed=100 + i, n=50, arrivals=arrivals)
+            got, want = run_both(jobs, strategy=strategy,
+                                 **engine_kwargs(seed=i, **config))
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("r1,r2", [("sjf", "sjf"), ("widest", "widest"),
+                                       ("sjf", "fcfs")])
+    @pytest.mark.parametrize("faulty", (False, True))
+    def test_job_strategies_under_other_policies(self, r1, r2, faulty):
+        # R1 == R2 beyond FCFS: arrivals and retries land inside the
+        # indexed window, which must then be rebuilt; R1 != R2 keeps
+        # the plain scan with the engine-held choices.
+        for strategy in ("random", "user_rr"):
+            jobs = make_jobs(seed=89, n=80)
+            got, want = run_both(
+                jobs, strategy=strategy, queue_policy=policy_by_name(r1),
+                backfill_policy=policy_by_name(r2), trace=True,
+                **engine_kwargs(faulty, seed=21, backfill_depth=3))
+            assert_identical(got, want)
+
+    @pytest.mark.parametrize("case", [
+        dict(arrivals="batch", backfill_depth=2),
+        dict(arrivals="poisson"),
+        dict(arrivals="poisson", queue_policy="sjf", backfill_policy="fcfs"),
+        dict(arrivals="batch", faults="heavy", backfill_depth=3),
+    ])
+    def test_undeclared_strategy_sees_the_reference_calls(self, case):
+        case = dict(case)
+        jobs = make_jobs(seed=97, n=60, arrivals=case.pop("arrivals"))
+        fast, ref = record_both(RecordingStrategy, "calls", jobs, **case)
+        assert len(fast) > len(jobs)
+        assert fast == ref
+
+    @pytest.mark.parametrize("case", [
+        dict(arrivals="batch", backfill_depth=1),
+        dict(arrivals="poisson"),
+        dict(arrivals="poisson", queue_policy="sjf", backfill_policy="sjf"),
+        dict(arrivals="poisson", faults="heavy", backfill_depth=2),
+    ])
+    def test_random_first_draw_order(self, case):
+        case = dict(case)
+        jobs = make_jobs(seed=101, n=80, arrivals=case.pop("arrivals"))
+        fast, ref = record_both(DrawLoggingRandom, "draws", jobs, **case)
+        assert sorted(fast) == sorted(j.job_id for j in jobs)
+        assert fast == ref
 
 
 class TestFaultyEquivalence:

@@ -33,10 +33,11 @@ every other layer can depend on them without cycles:
   layers it composes (artifacts, resilience, sched, profiler, ...) but
   never ``repro.cli`` or ``repro.sweep`` — the service is a library the
   CLI wraps, not the other way round.
-* ``repro.sched._reference`` — the frozen scheduler the equivalence
-  suite compares the engine against — may be imported by no module
-  under ``src`` (reverse check below): a helper shared with the engine
-  would let the suite compare the engine with itself.
+* ``tests`` — the test suite and its oracles (e.g. the frozen
+  scheduler the equivalence suite compares the engine against) — may
+  be imported by no module under ``src`` (reverse check below): an
+  oracle helper shared with the engine would let the suite compare the
+  engine with itself, and the shipped package must not need its tests.
 
 This script walks each module's AST (no imports are executed, so it is
 safe to run on a broken tree) and fails with one line per violation.
@@ -196,9 +197,18 @@ def _module_path(module: str) -> Path:
     return SRC.joinpath(*parts) / "__init__.py"
 
 
-def repro_imports(module: str,
-                  submodules: bool = False) -> list[tuple[int, str]]:
+def _under(name: str, packages) -> bool:
+    """Whether module *name* is one of *packages* or inside one."""
+    return any(name == pkg or name.startswith(pkg + ".") for pkg in packages)
+
+
+def repro_imports(module: str, submodules: bool = False,
+                  roots: tuple[str, ...] = ("repro",)
+                  ) -> list[tuple[int, str]]:
     """Every ``repro.*`` module imported by *module*: (lineno, name).
+
+    *roots* names the top-level packages whose imports are reported
+    (by default only ``repro``).
 
     Relative imports are resolved against *module*'s package.  With
     *submodules*, ``from pkg import name`` also reports ``pkg.name``,
@@ -215,7 +225,7 @@ def repro_imports(module: str,
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
+                if _under(alias.name, roots):
                     found.append((node.lineno, alias.name))
         elif isinstance(node, ast.ImportFrom):
             name = node.module or ""
@@ -225,7 +235,7 @@ def repro_imports(module: str,
                     package.pop()
                 del package[len(package) - node.level + 1:]
                 name = ".".join(package + ([name] if name else []))
-            if name == "repro" or name.startswith("repro."):
+            if _under(name, roots):
                 found.append((node.lineno, name))
                 if submodules:
                     found.extend((node.lineno, f"{name}.{alias.name}")
@@ -233,16 +243,17 @@ def repro_imports(module: str,
     return found
 
 
-#: module -> the only repro packages allowed to import it.  The forward
-#: check above constrains a module's *outgoing* edges; this constrains
-#: *incoming* ones, for tools that must never leak into the library
-#: layers (the self-profiler is operational tooling the CLI exposes,
-#: not a dependency science code may grow) and for the frozen test
-#: oracle, which nothing in the package may import.  An importer matches
-#: if it equals an entry or lives under an entry's package.
+#: package -> the only repro packages allowed to import it or anything
+#: inside it.  The forward check above constrains a module's *outgoing*
+#: edges; this constrains *incoming* ones, for tools that must never
+#: leak into the library layers (the self-profiler is operational
+#: tooling the CLI exposes, not a dependency science code may grow) and
+#: for the test suite and its oracles, which nothing in the package may
+#: import.  An importer matches if it equals an entry or lives under an
+#: entry's package.
 RESTRICTED_IMPORTERS = {
     "repro.perf": {"repro.cli"},
-    "repro.sched._reference": set(),
+    "tests": set(),
 }
 
 
@@ -268,16 +279,19 @@ def violations() -> list[str]:
                 f"{module} (line {lineno}) imports {imported}; allowed: "
                 f"{', '.join(sorted(allowed)) or 'nothing from repro'}"
             )
+    roots = ("repro", *RESTRICTED_IMPORTERS)
     for module in _all_modules():
-        for lineno, imported in repro_imports(module, submodules=True):
-            allowed_importers = RESTRICTED_IMPORTERS.get(imported)
-            if allowed_importers is None:
+        flagged = set()
+        for lineno, imported in repro_imports(module, submodules=True,
+                                              roots=roots):
+            pkg = next((pkg for pkg in RESTRICTED_IMPORTERS
+                        if _under(imported, (pkg,))), None)
+            if pkg is None or (lineno, pkg) in flagged:
                 continue
-            if module == imported or any(
-                module == pkg or module.startswith(pkg + ".")
-                for pkg in allowed_importers
-            ):
+            allowed_importers = RESTRICTED_IMPORTERS[pkg]
+            if _under(module, (pkg, *allowed_importers)):
                 continue
+            flagged.add((lineno, pkg))
             who = (f"only {', '.join(sorted(allowed_importers))}"
                    if allowed_importers else "no repro module")
             problems.append(
