@@ -8,9 +8,12 @@ dividing them by its standard deviation."
 
 from __future__ import annotations
 
+import math
+from typing import Mapping, Sequence
+
 import numpy as np
 
-from repro.arch.machines import SYSTEM_ORDER
+from repro.arch.machines import MACHINES, SYSTEM_ORDER
 from repro.dataset.schema import (
     ARCH_COLUMNS,
     CONFIG_FEATURES,
@@ -23,7 +26,10 @@ __all__ = [
     "FeatureNormalizer",
     "derive_feature_frame",
     "featurize_record",
+    "featurize_records",
+    "screen_record",
     "RAW_FOR_MAGNITUDE",
+    "RATIO_SOURCES",
     "REQUIRED_RECORD_FIELDS",
 ]
 
@@ -40,7 +46,7 @@ RAW_FOR_MAGNITUDE: dict[str, str] = {
 }
 
 #: Canonical raw-event field feeding each ratio feature's numerator.
-_RAW_FOR_RATIO: dict[str, str] = {
+RATIO_SOURCES: dict[str, str] = {
     "branch_intensity": "branch",
     "store_intensity": "store",
     "load_intensity": "load",
@@ -49,43 +55,82 @@ _RAW_FOR_RATIO: dict[str, str] = {
     "int_intensity": "int_arith",
 }
 
-
 #: Numeric fields a raw run record must carry (finite) for feature
 #: derivation; ``machine`` is additionally required as a string field.
 REQUIRED_RECORD_FIELDS: tuple[str, ...] = (
     "total_instructions",
-    *_RAW_FOR_RATIO.values(),
+    *RATIO_SOURCES.values(),
     *RAW_FOR_MAGNITUDE.values(),
     *CONFIG_FEATURES,
 )
 
 
+def screen_record(record: Mapping) -> tuple[dict, list[str]]:
+    """One raw run record -> ``(values, bad)``, its single screen.
+
+    *values* maps each required counter to its float64 value (NaN when
+    missing or non-numeric) and ``machine`` to its string form; *bad*
+    names the counters that are not finite, then ``machine`` when the
+    record names no known system.  :func:`featurize_record` raises on a
+    bad counter; :class:`repro.resilience.ResilientPredictor` repairs.
+    """
+    values: dict = {"machine": str(record.get("machine", ""))}
+    for name in REQUIRED_RECORD_FIELDS:
+        try:
+            values[name] = float(record[name])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            values[name] = math.nan
+    bad = [name for name in REQUIRED_RECORD_FIELDS
+           if not math.isfinite(values[name])]
+    if values["machine"] not in MACHINES:
+        bad.append("machine")
+    return values, bad
+
+
+def featurize_records(
+    values: Sequence[Mapping],
+    normalizer: FeatureNormalizer | None,
+    columns: list[str] | tuple[str, ...],
+) -> np.ndarray:
+    """Screened :func:`screen_record` values -> one row each over
+    *columns*, derived in one :func:`derive_feature_frame` call through
+    the fitted *normalizer*.  Derivation is column-wise elementwise
+    arithmetic, so each row is bit-equal to featurizing it alone."""
+    if normalizer is None:
+        raise RuntimeError("record featurized before the normalizer was fit")
+    frame = Frame({
+        **{name: np.array([v[name] for v in values], dtype=np.float64)
+           for name in REQUIRED_RECORD_FIELDS},
+        "machine": [v["machine"] for v in values],
+    })
+    featured, _ = derive_feature_frame(frame, normalizer=normalizer)
+    return featured.to_matrix(list(columns))
+
+
 def featurize_record(
     record: dict,
-    normalizer: FeatureNormalizer,
+    normalizer: FeatureNormalizer | None,
     columns: list[str] | tuple[str, ...],
 ) -> np.ndarray:
     """One raw run record -> one feature row over *columns*.
 
     Screens the record first: raises ``KeyError`` when a required
-    counter field is absent and ``ValueError`` when one is NaN or ±inf
-    (a truncated or garbled measurement), so a broken record can never
-    be binned into a confident answer.  Derivation uses the fitted
-    *normalizer* on a single-record frame, the deployment path every
-    record-level predictor shares.
+    counter field or ``machine`` is absent and ``ValueError`` when a
+    counter is non-numeric, NaN or ±inf (a truncated or garbled
+    measurement), so a broken record can never be binned into a
+    confident answer, and ``RuntimeError`` before the *normalizer* is
+    fitted.  An unknown machine's one-hot reads all zero.
     """
-    missing = [f for f in REQUIRED_RECORD_FIELDS if f not in record]
+    values, bad = screen_record(record)
+    missing = [f for f in (*REQUIRED_RECORD_FIELDS, "machine")
+               if f not in record]
     if missing:
         raise KeyError(f"record is missing counter fields: {sorted(missing)}")
-    bad = [
-        f for f in REQUIRED_RECORD_FIELDS
-        if not np.isfinite(np.asarray(record[f], dtype=np.float64))
-    ]
+    bad = [f for f in bad if f != "machine"]
     if bad:
-        raise ValueError(f"record has non-finite counter values: {sorted(bad)}")
-    featured, _ = derive_feature_frame(Frame.from_records([record]),
-                                       normalizer=normalizer)
-    return featured.to_matrix(list(columns))[0]
+        raise ValueError("record has non-numeric or non-finite counter "
+                         f"values: {sorted(bad)}")
+    return featurize_records([values], normalizer, columns)[0]
 
 
 class FeatureNormalizer:
@@ -168,7 +213,7 @@ def derive_feature_frame(
     # derivation is frame-level work rather than a per-column (or worse,
     # per-row) Python loop.
     derived: dict[str, np.ndarray] = {}
-    for feature, raw in _RAW_FOR_RATIO.items():
+    for feature, raw in RATIO_SOURCES.items():
         derived[feature] = np.asarray(records[raw], dtype=np.float64) / total
     for feature, raw in RAW_FOR_MAGNITUDE.items():
         derived[feature] = np.asarray(records[raw], dtype=np.float64)
@@ -179,7 +224,3 @@ def derive_feature_frame(
     if normalizer is None:
         normalizer = FeatureNormalizer().fit(out)
     return normalizer.transform(out), normalizer
-
-
-# Re-exported for schema completeness checks in tests.
-RATIO_SOURCES = dict(_RAW_FOR_RATIO)

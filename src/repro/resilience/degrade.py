@@ -23,6 +23,11 @@ tainted by a broken counter is overwritten with its training-set mean.
 This keeps the intact counters contributing real signal instead of
 throwing the whole vector away.
 
+The chain is the single tier policy: offline ``predict``/
+``predict_record`` and the server's micro-batch flushes all go through
+:meth:`ResilientPredictor.predict_batch`, which featurizes a batch's
+answerable records in one call and runs the model once.
+
 Tier usage is counted in :attr:`ResilientPredictor.tier_counts` so
 experiments can report what fraction of decisions ran degraded
 (:func:`repro.sched.metrics.degraded_prediction_fraction`).
@@ -34,27 +39,28 @@ import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from repro import telemetry
-from repro.arch.machines import MACHINES, SYSTEM_ORDER
+from repro.arch.machines import SYSTEM_ORDER
 from repro.core.predictor import CrossArchPredictor
 from repro.dataset.features import (
     RAW_FOR_MAGNITUDE,
     RATIO_SOURCES,
-    REQUIRED_RECORD_FIELDS,
-    derive_feature_frame,
+    featurize_records,
+    screen_record,
 )
 from repro.dataset.schema import ARCH_COLUMNS, CONFIG_FEATURES, RATIO_FEATURES
 from repro.errors import ReproError
-from repro.frame import Frame
 
 __all__ = [
     "ResilientPredictor",
     "PredictionOutcome",
     "CorruptingPredictor",
     "TierSnapshot",
+    "degraded_fraction_of",
 ]
 
 #: Degradation tiers, best first.
@@ -74,6 +80,20 @@ _TAINTS: dict[str, tuple[str, ...]] = {
     "total_instructions": tuple(RATIO_FEATURES),
     "machine": tuple(ARCH_COLUMNS),
 }
+
+
+def degraded_fraction_of(tier_counts: Mapping[str, int]) -> float:
+    """Fraction of predictions served below the ``model`` tier.
+
+    *tier_counts* maps tier name to usage count; 0.0 when nothing was
+    predicted (nothing degraded either).  The one formula behind
+    :meth:`ResilientPredictor.degraded_fraction`, :class:`TierSnapshot`
+    and :func:`repro.sched.metrics.degraded_prediction_fraction`.
+    """
+    total = sum(tier_counts.values())
+    if total == 0:
+        return 0.0
+    return 1.0 - tier_counts.get("model", 0) / total
 
 
 @dataclass
@@ -99,21 +119,23 @@ class TierSnapshot:
     total: int
     degraded_fraction: float
 
+    @classmethod
+    def of(cls, counts: Mapping[str, int]) -> "TierSnapshot":
+        """Snapshot of per-tier *counts* (absent tiers read 0)."""
+        return cls(
+            counts=tuple((tier, counts.get(tier, 0)) for tier in TIERS),
+            total=sum(counts.get(tier, 0) for tier in TIERS),
+            degraded_fraction=degraded_fraction_of(counts),
+        )
+
     def count(self, tier: str) -> int:
         return dict(self.counts).get(tier, 0)
 
     def delta(self, earlier: "TierSnapshot") -> "TierSnapshot":
         """Tier usage between *earlier* and this snapshot."""
         before = dict(earlier.counts)
-        counts = tuple(
-            (tier, n - before.get(tier, 0)) for tier, n in self.counts
-        )
-        total = sum(n for _, n in counts)
-        degraded = total - dict(counts).get("model", 0)
-        return TierSnapshot(
-            counts=counts,
-            total=total,
-            degraded_fraction=degraded / total if total else 0.0,
+        return TierSnapshot.of(
+            {tier: n - before.get(tier, 0) for tier, n in self.counts}
         )
 
     def to_dict(self) -> dict:
@@ -123,12 +145,6 @@ class TierSnapshot:
             "total": self.total,
             "degraded_fraction": self.degraded_fraction,
         }
-
-
-def _heuristic_rpv(uses_gpu: bool, systems: tuple[str, ...]) -> np.ndarray:
-    table = _HEURISTIC_GPU if uses_gpu else _HEURISTIC_CPU
-    # Unknown systems (non-Table-I clusters) get a neutral 1.0.
-    return np.array([table.get(name, 1.0) for name in systems])
 
 
 class ResilientPredictor:
@@ -223,6 +239,16 @@ class ResilientPredictor:
         self.tier_counts[tier] += n
         telemetry.counter(f"resilience.tier.{tier}").inc(n)
 
+    def _fallback(self, uses_gpu: np.ndarray) -> tuple[np.ndarray, str]:
+        """Model-free answers, one row per ``uses_gpu`` flag, and their
+        tier (uncounted)."""
+        if self.mean_rpv is not None:
+            return np.tile(self.mean_rpv, (len(uses_gpu), 1)), "mean_rpv"
+        # Unknown systems (non-Table-I clusters) get a neutral 1.0.
+        gpu, cpu = ([table.get(name, 1.0) for name in self.systems]
+                    for table in (_HEURISTIC_GPU, _HEURISTIC_CPU))
+        return np.where(uses_gpu[:, None], gpu, cpu), "heuristic"
+
     def baseline(self, uses_gpu: bool = False) -> PredictionOutcome:
         """Answer from the model-free tiers (``mean_rpv``/``heuristic``).
 
@@ -231,96 +257,98 @@ class ResilientPredictor:
         an O(1) answer instead of a queued model prediction — and the
         tier counters record the degradation honestly.
         """
-        return self._baseline(uses_gpu)
+        rpv, tier = self._fallback(np.array([bool(uses_gpu)]))
+        self._count(tier)
+        return PredictionOutcome(rpv[0], tier)
 
-    def _baseline(self, uses_gpu: bool) -> PredictionOutcome:
-        if self.mean_rpv is not None:
-            self._count("mean_rpv")
-            return PredictionOutcome(self.mean_rpv.copy(), "mean_rpv")
-        self._count("heuristic")
-        return PredictionOutcome(
-            _heuristic_rpv(uses_gpu, self.systems), "heuristic"
-        )
+    def _answer(self, items) -> tuple[np.ndarray, list[str], list[tuple]]:
+        """``(rpv rows, tiers, repaired)`` for *items*: raw run records
+        (mappings) and/or feature rows (a 2-D array is all rows).
+        Records are screened once, every one the model can take (clean,
+        or repaired with placeholders) is featurized in one call,
+        tainted features are imputed, and the model runs once."""
+        n = len(items)
+        is_record = np.zeros(n, dtype=bool)
+        if not isinstance(items, np.ndarray):
+            is_record[:] = [isinstance(item, Mapping) for item in items]
+        rec_at, row_at = np.flatnonzero(is_record), np.flatnonzero(~is_record)
+        uses_gpu = np.zeros(n, dtype=bool)
+        for i in rec_at:
+            uses_gpu[i] = bool(items[i].get("uses_gpu", False))
+        on_model = np.zeros(n, dtype=bool)
+        dirty = np.zeros(n, dtype=bool)
+        repaired: list[tuple] = [()] * n
+        Y = np.empty((n, len(self.systems)))
+        predictor, fill = self.predictor, self.feature_fill
+        if predictor is not None:
+            columns = list(predictor.feature_columns)
+            X = np.empty((n, len(columns)))
+            taint = np.zeros(X.shape, dtype=bool)
+            if len(row_at):
+                rows = np.array([items[i] for i in row_at], dtype=np.float64)
+                X[row_at] = rows
+                taint[row_at] = ~np.isfinite(rows)
+                on_model[row_at] = True
+            pending = []
+            for i in rec_at:
+                values, bad = screen_record(items[i])
+                if bad and fill is None:
+                    continue
+                for name in bad:  # placeholders: tainted, imputed below
+                    values[name] = SYSTEM_ORDER[0] if name == "machine" else 1.0
+                # Derivation rejects a non-positive total: that record
+                # alone drops to the model-free tier, not its batch.
+                if values["total_instructions"] > 0:
+                    pending.append((i, values, bad))
+            if pending:
+                at = [i for i, _, _ in pending]
+                X[at] = featurize_records([v for _, v, _ in pending],
+                                          predictor.normalizer, columns)
+                on_model[at] = True
+                for i, _, bad in pending:
+                    if bad:
+                        tainted = set().union(
+                            *(_TAINTS.get(name, ()) for name in bad))
+                        taint[i] = ~np.isfinite(X[i]) | np.array(
+                            [column in tainted for column in columns])
+                        repaired[i] = tuple(sorted(bad))
+            dirty = taint.any(axis=1)
+            if fill is None:
+                on_model &= ~dirty
+            else:
+                X = np.where(taint, fill, X)  # untainted bits unchanged
+            if on_model.any():
+                Y[on_model] = predictor.predict(X[on_model])
+        base = ~on_model
+        Y[base], fallback = self._fallback(uses_gpu[base])
+        tiers = np.where(on_model, np.where(dirty, "imputed", "model"),
+                         fallback).tolist()
+        for tier, k in Counter(tiers).items():
+            self._count(tier, k)
+        return Y, tiers, repaired
 
-    def _repair_and_predict(self, record: dict, bad: list[str]) -> np.ndarray:
-        """Tier 2: derive features around the damage, impute the rest.
-
-        Broken raw fields get placeholder values so derivation runs,
-        then every feature they taint is overwritten with its
-        training-set mean before the model sees it.
-        """
-        repaired = dict(record)
-        for name in bad:
-            # The placeholder never reaches the model (the tainted
-            # features are overwritten below); it only has to keep the
-            # derivation arithmetic finite.
-            repaired[name] = SYSTEM_ORDER[0] if name == "machine" else 1.0
-        frame = Frame.from_records([repaired])
-        featured, _ = derive_feature_frame(
-            frame, normalizer=self.predictor.normalizer
-        )
-        columns = list(self.predictor.feature_columns)
-        X = featured.to_matrix(columns)
-        tainted = set()
-        for name in bad:
-            tainted.update(_TAINTS.get(name, ()))
-        for i, column in enumerate(columns):
-            if column in tainted or not np.isfinite(X[0, i]):
-                X[0, i] = self.feature_fill[i]
-        return self.predictor.predict(X)[0]
+    def predict_batch(self, items) -> list[PredictionOutcome]:
+        """One :class:`PredictionOutcome` per raw record and/or feature
+        row, in order — what the server answers for each flushed batch.
+        A defective item drops down the chain alone; its batch-mates
+        keep their tier and their exact answer."""
+        Y, tiers, repaired = self._answer(items)
+        return [PredictionOutcome(Y[i], tiers[i], repaired[i])
+                for i in range(len(tiers))]
 
     def predict_record_detailed(self, record: dict) -> PredictionOutcome:
         """Predict one raw run record, reporting the tier used.
 
-        Never raises: any defect in *record* (missing keys, NaN/inf
-        counters, unknown machine) or in the model itself drops the
-        prediction down the chain instead.
+        Never raises: any defect in *record* (missing keys, NaN/inf or
+        non-numeric counters, unknown machine) drops the prediction
+        down the chain instead.
         """
-        uses_gpu = bool(record.get("uses_gpu", False))
-
-        def _is_bad(name: str) -> bool:
-            if name not in record:
-                return True
-            try:
-                return not bool(
-                    np.isfinite(np.asarray(record[name], dtype=np.float64))
-                )
-            except (TypeError, ValueError):
-                return True  # non-numeric garbage in a counter field
-
-        bad = [name for name in REQUIRED_RECORD_FIELDS if _is_bad(name)]
-        if str(record.get("machine", "")) not in MACHINES:
-            bad.append("machine")
-
-        if self.predictor is not None and not bad:
-            try:
-                rpv = self.predictor.predict_record(record)
-            except (ReproError, ValueError, KeyError):
-                # Record defects the _is_bad screen cannot see (e.g. a
-                # field the feature pipeline requires but the schema
-                # does not list).  Genuine model bugs surface instead of
-                # being absorbed as "degraded mode".
-                return self._baseline(uses_gpu)
-            self._count("model")
-            return PredictionOutcome(np.asarray(rpv, dtype=np.float64), "model")
-
-        if self.predictor is not None and self.feature_fill is not None:
-            try:
-                rpv = self._repair_and_predict(record, bad)
-            except (ReproError, ValueError, KeyError):
-                return self._baseline(uses_gpu)
-            self._count("imputed")
-            return PredictionOutcome(
-                np.asarray(rpv, dtype=np.float64), "imputed", tuple(sorted(bad))
-            )
-
-        return self._baseline(uses_gpu)
+        return self.predict_batch([record])[0]
 
     def predict_record(self, record: dict) -> np.ndarray:
         """Drop-in for :meth:`CrossArchPredictor.predict_record`."""
         return self.predict_record_detailed(record).rpv
 
-    # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Batch predict with per-row degradation (drop-in for
         :meth:`CrossArchPredictor.predict`).
@@ -332,48 +360,12 @@ class ResilientPredictor:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        n = X.shape[0]
-        if self.predictor is None:
-            base = (
-                self.mean_rpv if self.mean_rpv is not None
-                else _heuristic_rpv(False, self.systems)
-            )
-            tier = "mean_rpv" if self.mean_rpv is not None else "heuristic"
-            self._count(tier, n)
-            return np.tile(base, (n, 1))
-
-        finite = np.isfinite(X)
-        clean_rows = finite.all(axis=1)
-        out = np.empty((n, len(self.systems)))
-        if clean_rows.any():
-            out[clean_rows] = self.predictor.predict(X[clean_rows])
-            self._count("model", int(clean_rows.sum()))
-        dirty = ~clean_rows
-        if dirty.any():
-            if self.feature_fill is not None:
-                repaired = X[dirty].copy()
-                fill = np.broadcast_to(self.feature_fill, repaired.shape)
-                mask = ~np.isfinite(repaired)
-                repaired[mask] = fill[mask]
-                out[dirty] = self.predictor.predict(repaired)
-                self._count("imputed", int(dirty.sum()))
-            else:
-                base = (
-                    self.mean_rpv if self.mean_rpv is not None
-                    else _heuristic_rpv(False, self.systems)
-                )
-                out[dirty] = base
-                tier = "mean_rpv" if self.mean_rpv is not None else "heuristic"
-                self._count(tier, int(dirty.sum()))
-        return out
+        return self._answer(X)[0]
 
     # ------------------------------------------------------------------
     def degraded_fraction(self) -> float:
         """Fraction of predictions served below the ``model`` tier."""
-        total = sum(self.tier_counts.values())
-        if total == 0:
-            return 0.0
-        return 1.0 - self.tier_counts.get("model", 0) / total
+        return degraded_fraction_of(self.tier_counts)
 
     def summary(self) -> dict[str, int]:
         """Tier usage counts, best tier first."""
@@ -386,16 +378,7 @@ class ResilientPredictor:
         window yield the window's transitions via
         :meth:`TierSnapshot.delta`.
         """
-        counts = tuple(
-            (tier, self.tier_counts.get(tier, 0)) for tier in TIERS
-        )
-        total = sum(n for _, n in counts)
-        degraded = total - self.tier_counts.get("model", 0)
-        return TierSnapshot(
-            counts=counts,
-            total=total,
-            degraded_fraction=degraded / total if total else 0.0,
-        )
+        return TierSnapshot.of(self.tier_counts)
 
 
 class CorruptingPredictor:

@@ -174,10 +174,9 @@ def degraded_prediction_fraction(tier_counts: Mapping[str, int]) -> float:
     :attr:`repro.resilience.ResilientPredictor.tier_counts`.  0.0 when
     nothing was predicted (nothing degraded either).
     """
-    total = sum(tier_counts.values())
-    if total == 0:
-        return 0.0
-    return 1.0 - tier_counts.get("model", 0) / total
+    from repro.resilience.degrade import degraded_fraction_of
+
+    return degraded_fraction_of(tier_counts)
 
 
 def resilience_summary(result: ScheduleResult) -> dict[str, float]:

@@ -20,12 +20,12 @@ the quality loss observable (``tier_snapshot`` + the
 
 SLO mode (default off): pass an
 :class:`~repro.telemetry.slo.SLOShedPolicy` and decisions below the
-hard limit come from error-budget burn instead of the soft watermark —
-the service sheds when sustained latency/availability burn says the
-SLO is in danger, not when a raw in-flight count happens to spike.
-The hard limit stays on as the memory-safety backstop, and with no
-policy installed behavior is bit-identical to the watermark
-controller.
+hard limit also follow error-budget burn — the service sheds when
+sustained latency/availability burn says the SLO is in danger, not when
+a raw in-flight count happens to spike.  The hard limit stays on as the
+memory-safety backstop.  Watermark mode is not a second policy: it is
+SLO mode whose burn decision always reads ``"full"``, so both run one
+decision path.
 """
 
 from __future__ import annotations
@@ -70,17 +70,13 @@ class AdmissionController:
         """
         if self.inflight >= self.hard_limit:
             return "shed"
-        if self.slo is not None:
-            # Burn-driven below the hard backstop: shed only on
-            # sustained budget burn, degrade on fast burn OR the soft
-            # watermark (memory pressure still deserves a cheap tier).
-            burn = self.slo.decision()
-            if burn == "shed":
-                return "shed"
-            if burn == "degraded" or self.inflight >= self.soft_limit:
-                return "degraded"
-            return "full"
-        if self.inflight >= self.soft_limit:
+        # Shed on sustained budget burn, degrade on fast burn OR the
+        # soft watermark.  Without a policy the burn reads "full" (a
+        # constant: a stand-in policy's observe() locks per request).
+        burn = "full" if self.slo is None else self.slo.decision()
+        if burn == "shed":
+            return "shed"
+        if burn == "degraded" or self.inflight >= self.soft_limit:
             return "degraded"
         return "full"
 

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.dataset.features import featurize_record
 from repro.errors import ReproError, ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import MicroBatcher
@@ -147,9 +146,9 @@ class PredictionService:
 
         Per-item results are :class:`BatchResult`; an item whose
         features cannot fit the captured model gets a
-        :class:`ServeError` result (its caller alone fails).  Raw
-        records with broken counters drop into the degradation chain
-        individually; clean rows ride the vectorized path together.
+        :class:`ServeError` result (its caller alone fails).  Every
+        other item — raw record or feature row — goes to the model's
+        degradation chain in one call, which decides each answer's tier.
         """
         model = self.manager.active  # the swap point: captured once
         n = len(items)
@@ -174,50 +173,25 @@ class PredictionService:
                 for item in items
             ]
         results: list = [None] * n
-        rows: list[np.ndarray] = []
-        row_items: list[int] = []
+        answered: list[int] = []
+        inputs: list = []
         for i, item in enumerate(items):
-            if item.kind == "features":
-                if len(item.features) != model.n_features:
-                    results[i] = ServeError(
-                        f"'features' has {len(item.features)} entries; "
-                        f"model {model.config_hash[:12]} expects "
-                        f"{model.n_features}"
-                    )
-                    continue
-                rows.append(np.asarray(item.features, dtype=np.float64))
-                row_items.append(i)
+            if item.kind == "record":
+                inputs.append(item.record)
+            elif len(item.features) == model.n_features:
+                inputs.append(item.features)
+            else:
+                results[i] = ServeError(
+                    f"'features' has {len(item.features)} entries; "
+                    f"model {model.config_hash[:12]} expects "
+                    f"{model.n_features}"
+                )
                 continue
-            # Raw record: the clean path featurizes exactly like the
-            # offline CrossArchPredictor.predict_record (single-record
-            # frame through the fitted normalizer) so batched answers
-            # are bit-identical to single-shot ones.
-            try:
-                rows.append(self._featurize(item.record, model))
-                row_items.append(i)
-            except (ReproError, ValueError, KeyError, TypeError):
-                with telemetry.start_span(
-                    "serve.degrade", trace_id=item.trace_id,
-                    parent_id=item.span_id,
-                ) as dspan:
-                    outcome = model.resilient.predict_record_detailed(
-                        item.record
-                    )
-                    dspan.annotate(tier=outcome.tier)
-                results[i] = BatchResult(outcome.rpv, outcome.tier,
-                                         model, 1)
-        if rows:
-            X = np.vstack(rows)
-            finite = np.isfinite(X).all(axis=1)
-            Y = model.resilient.predict(X)
-            fallback = (
-                "imputed" if model.resilient.feature_fill is not None
-                else ("mean_rpv" if model.resilient.mean_rpv is not None
-                      else "heuristic")
-            )
-            for k, i in enumerate(row_items):
-                tier = "model" if finite[k] else fallback
-                results[i] = BatchResult(Y[k], tier, model, len(rows))
+            answered.append(i)
+        outcomes = model.resilient.predict_batch(inputs)
+        for i, outcome in zip(answered, outcomes):
+            results[i] = BatchResult(outcome.rpv, outcome.tier, model,
+                                     len(inputs))
         if item_spans is not None:
             for span, result in zip(item_spans, results):
                 if isinstance(result, BatchResult):
@@ -227,16 +201,6 @@ class PredictionService:
                     span.end(type(result) if result is not None else None)
             batch_span.end()
         return results
-
-    @staticmethod
-    def _featurize(record: dict, model: ActiveModel) -> np.ndarray:
-        """One record -> one feature row, the predict_record way."""
-        predictor = model.predictor
-        if predictor.normalizer is None:
-            raise ServeError("model has no fitted normalizer", code=500,
-                             reason="bad-model")
-        return featurize_record(record, predictor.normalizer,
-                                predictor.feature_columns)
 
     # ------------------------------------------------------------------
     # Zero-shot scoring (inline machine descriptors)
@@ -666,14 +630,22 @@ class PredictionService:
                     )
                     break
                 headers: dict[str, str] = {}
+                # Repeated content-length values that disagree leave the
+                # body's end unknowable: answering one reading would parse
+                # the rest of the body as the next request.
+                conflicting = False
                 while True:
                     line = await reader.readline()
                     if line in (b"\r\n", b"\n", b""):
                         break
                     key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
+                    key, value = key.strip().lower(), value.strip()
+                    if key == "content-length":
+                        conflicting |= headers.get(key, value) != value
+                    headers[key] = value
                 try:
-                    length = int(headers.get("content-length", "0") or "0")
+                    length = (-1 if conflicting else
+                              int(headers.get("content-length", "0") or "0"))
                 except ValueError:
                     length = -1
                 if length < 0 or length > (1 << 22):

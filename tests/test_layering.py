@@ -52,6 +52,29 @@ def test_tool_detects_a_planted_violation(tmp_path, monkeypatch):
     assert any("repro.config" in p and "repro.ml" in p for p in problems)
 
 
+def test_tool_detects_serve_featurizing_records_itself(tmp_path,
+                                                       monkeypatch):
+    # Screening and featurizing records is the degradation chain's
+    # decision; a serve module importing the feature pipeline would
+    # regrow a second tier policy beside it.
+    tool = _load_tool()
+    serve = tmp_path / "src" / "repro" / "serve"
+    serve.mkdir(parents=True)
+    (serve / "__init__.py").write_text("")
+    (serve / "server.py").write_text(
+        "from repro.dataset.features import featurize_record\n"
+        "from repro.resilience.degrade import ResilientPredictor\n"
+    )
+    (serve / "protocol.py").write_text("import repro.dataset.features\n")
+    monkeypatch.setattr(tool, "SRC", tmp_path / "src")
+    problems = tool.violations()
+    assert len(problems) == 2
+    for module in ("server", "protocol"):
+        assert any(p.startswith(f"repro.serve.{module} ")
+                   and "imports repro.dataset.features" in p
+                   for p in problems)
+
+
 def test_tool_detects_an_engine_importing_the_frozen_oracle(
         tmp_path, monkeypatch):
     # The equivalence suite compares the engine with the frozen

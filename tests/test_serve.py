@@ -401,6 +401,89 @@ class TestBitIdentical:
 
 
 # ----------------------------------------------------------------------
+# One degradation chain: the server's answers are the chain's answers
+# ----------------------------------------------------------------------
+class TestOneChain:
+    def test_batched_featurization_is_bit_equal_per_row(
+        self, trained_xgb
+    ):
+        from repro.dataset.features import (
+            featurize_record,
+            featurize_records,
+            screen_record,
+        )
+
+        records = [p["record"] for p in synthesize_payloads(40, seed=7)]
+        normalizer = trained_xgb.normalizer
+        columns = trained_xgb.feature_columns
+        single = np.array([featurize_record(r, normalizer, columns)
+                           for r in records])
+        for size in (1, 2, 7, 40):
+            for start in range(0, len(records), size):
+                chunk = records[start:start + size]
+                batch = featurize_records(
+                    [screen_record(r)[0] for r in chunk], normalizer,
+                    columns,
+                )
+                assert np.array_equal(batch,
+                                      single[start:start + size])
+
+    def test_unknown_machine_answers_the_chain_tier(
+        self, registry, sample_payloads
+    ):
+        root, _ = registry
+        record = dict(sample_payloads[0]["record"], machine="Frontier")
+        service = make_service(root)
+        response = asyncio.run(service.handle_predict({"record": record}))
+        chain = service.manager.active.resilient.predict_record_detailed(
+            record
+        )
+        assert response["tier"] == chain.tier == "imputed"
+        assert np.array_equal(np.asarray(response["rpv"]), chain.rpv)
+
+    def test_mixed_batch_matches_single_item_chain(
+        self, registry, trained_xgb, small_dataset, sample_payloads
+    ):
+        """One flush holding every kind of defect answers each item
+        exactly as the chain answers it alone; one underivable record
+        fails neither the batch nor its clean batch-mates."""
+        root, _ = registry
+        clean = dict(sample_payloads[0]["record"])
+        missing = {k: v for k, v in sample_payloads[1]["record"].items()
+                   if k != "branch"}
+        unknown = dict(sample_payloads[2]["record"], machine="Frontier")
+        zero_total = dict(sample_payloads[3]["record"],
+                          total_instructions=0.0)
+        row = [float(v) for v in small_dataset.X()[0]]
+        row[2] = float("nan")
+        payloads = [{"record": clean}, {"record": missing},
+                    {"record": unknown}, {"record": zero_total},
+                    {"features": row}]
+        service = make_service(root, max_batch=len(payloads),
+                               batch_deadline_s=30.0)
+
+        async def scenario():
+            return await asyncio.gather(
+                *(service.handle_predict(p) for p in payloads)
+            )
+
+        responses = asyncio.run(scenario())
+        assert [r["batch_size"] for r in responses] == [5] * 5
+        assert [r["tier"] for r in responses] == [
+            "model", "imputed", "imputed", "mean_rpv", "imputed",
+        ]
+        chain = service.manager.active.resilient
+        alone = [chain.predict_record_detailed(p["record"])
+                 for p in payloads[:4]]
+        alone.append(chain.predict_batch([np.asarray(row)])[0])
+        for response, outcome in zip(responses, alone):
+            assert response["tier"] == outcome.tier
+            assert np.array_equal(np.asarray(response["rpv"]), outcome.rpv)
+        assert np.array_equal(np.asarray(responses[0]["rpv"]),
+                              trained_xgb.predict_record(clean))
+
+
+# ----------------------------------------------------------------------
 # ModelManager: resolution, promotion, torn-promotion detection
 # ----------------------------------------------------------------------
 class TestModelManager:
@@ -984,6 +1067,41 @@ class TestObservability:
         assert "200 OK" in head
         assert "content-type: text/plain; version=0.0.4" in head
         assert body.startswith("# TYPE ")
+
+    def test_conflicting_content_length_is_typed_400_and_closes(
+        self, registry, sample_payloads
+    ):
+        """A keep-alive request with two disagreeing content-length
+        headers gets the typed bad-http 400 and a closed connection —
+        its unread body bytes are never parsed as a next request."""
+        root, _ = registry
+        service = make_service(root)
+        body = json.dumps(dict(sample_payloads[0])).encode()
+
+        async def scenario():
+            host, port = await service.start("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b"POST /predict HTTP/1.1\r\n"
+                    b"content-length: 2\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), 10.0)
+                writer.close()
+                return raw
+            finally:
+                await service.stop()
+
+        raw = asyncio.run(scenario()).decode()
+        assert raw.count("HTTP/1.1 ") == 1
+        head, _, payload = raw.partition("\r\n\r\n")
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "connection: close" in head
+        assert json.loads(payload)["reason"] == "bad-http"
+        assert service.request_counts == {}
 
     def test_metrics_bad_format_is_typed_400(self, registry):
         root, _ = registry

@@ -32,7 +32,9 @@ every other layer can depend on them without cycles:
 * ``repro.serve``     (and its submodules) may import the library
   layers it composes (artifacts, resilience, sched, profiler, ...) but
   never ``repro.cli`` or ``repro.sweep`` — the service is a library the
-  CLI wraps, not the other way round.
+  CLI wraps, not the other way round — and never
+  ``repro.dataset.features``: records reach features only through the
+  degradation chain, which decides every answer's tier.
 * ``tests`` — the test suite and its oracles (e.g. the frozen
   scheduler the equivalence suite compares the engine against) — may
   be imported by no module under ``src`` (reverse check below): an
@@ -95,8 +97,11 @@ _SWEEP_DEPS = {
 #: Serve-layer modules: the online service sits above the libraries
 #: (model, resilience, sched, profiler) and *below* the CLI — it may
 #: import any of them, but never ``repro.cli`` (which imports serve:
-#: allowing the reverse edge would be a cycle) and never ``repro.sweep``
-#: (batch orchestration has no business inside a request handler).
+#: allowing the reverse edge would be a cycle), never ``repro.sweep``
+#: (batch orchestration has no business inside a request handler), and
+#: never ``repro.dataset.features``: screening and featurizing a record
+#: is the degradation chain's decision (``repro.resilience.degrade``),
+#: so the service cannot grow a second tier policy beside it.
 _SERVE_DEPS = {
     "repro",  # `from repro import telemetry` (the instrumented-layer idiom)
     "repro.errors",
@@ -111,7 +116,6 @@ _SERVE_DEPS = {
     "repro.perfsim.config",
     "repro.profiler",
     "repro.hatchet_lite",
-    "repro.dataset.features",
     "repro.dataset.schema",
     "repro.arch.descriptor",
     "repro.arch.machines",
