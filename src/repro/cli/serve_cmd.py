@@ -51,7 +51,10 @@ def add_subparsers(sub) -> None:
                    help="0 picks a free port (printed at startup)")
     p.add_argument("--max-batch", type=int, default=s.max_batch)
     p.add_argument("--batch-deadline-ms", type=float,
-                   default=s.batch_deadline_ms)
+                   default=s.batch_deadline_ms,
+                   help="upper bound on a micro-batch's oldest request's "
+                        "wait; a batch flushes as soon as the event "
+                        "loop has no more requests to add")
     p.add_argument("--soft-inflight", type=int, default=s.soft_inflight,
                    help="above this many in-flight requests, answer "
                         "from the model-free degradation tiers")

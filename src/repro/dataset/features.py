@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.arch.machines import MACHINES, SYSTEM_ORDER
+from repro.arch.machines import SYSTEM_ORDER
 from repro.dataset.schema import (
     ARCH_COLUMNS,
     CONFIG_FEATURES,
@@ -71,7 +71,9 @@ def screen_record(record: Mapping) -> tuple[dict, list[str]]:
     *values* maps each required counter to its float64 value (NaN when
     missing or non-numeric) and ``machine`` to its string form; *bad*
     names the counters that are not finite, then ``machine`` when the
-    record names no known system.  :func:`featurize_record` raises on a
+    record names no system the architecture one-hot encodes (an exact
+    ``SYSTEM_ORDER`` name: ``"quartz"`` or a registered non-Table-I
+    machine would read all zero).  :func:`featurize_record` raises on a
     bad counter; :class:`repro.resilience.ResilientPredictor` repairs.
     """
     values: dict = {"machine": str(record.get("machine", ""))}
@@ -82,7 +84,7 @@ def screen_record(record: Mapping) -> tuple[dict, list[str]]:
             values[name] = math.nan
     bad = [name for name in REQUIRED_RECORD_FIELDS
            if not math.isfinite(values[name])]
-    if values["machine"] not in MACHINES:
+    if values["machine"] not in SYSTEM_ORDER:
         bad.append("machine")
     return values, bad
 

@@ -12,7 +12,7 @@ The moving parts, one module each:
 
 * :mod:`repro.serve.protocol` — wire schema and typed validation;
 * :mod:`repro.serve.coalescer` — :class:`MicroBatcher`, flush on
-  size/deadline, per-item result fan-out;
+  idle/size/deadline, per-item result fan-out;
 * :mod:`repro.serve.model_manager` — :class:`ModelManager`, loads
   models by config hash from a verified run-dir registry and hot-swaps
   them atomically when ``CURRENT`` changes;

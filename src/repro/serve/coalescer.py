@@ -4,13 +4,20 @@
 small batch sizes than per-row calls (``BENCH_sched.json``) — but only
 if somebody actually hands it batches.  A :class:`MicroBatcher` is that
 somebody: concurrent ``submit()`` callers park on futures while their
-items accumulate, and the whole batch goes through one flush callback
-when either
+items accumulate, and the whole batch goes through one flush callback.
+The flush is work-conserving: a batch's first item schedules a check
+that runs once per event-loop turn, and the batch flushes
 
-* the batch reaches ``max_batch`` items (flush on size), or
-* the *oldest* pending item has waited ``max_delay_s`` (flush on
-  deadline — the tail-latency bound; a lone request never waits longer
-  than the deadline for company that is not coming).
+* at the first check that finds no submission since the previous one
+  (flush on ``idle`` — everything that was ready to join has joined,
+  so a lone request never waits for company that is not coming),
+* as soon as it reaches ``max_batch`` items (flush on ``size``), or
+* at the first check after the *oldest* pending item has waited
+  ``max_delay_s`` (flush on ``deadline`` — an upper bound on the wait
+  while submissions keep arriving turn after turn).
+
+Callers whose submissions land in the same loop turn (gathered submits,
+HTTP requests whose bytes arrive together) share one flush.
 
 The flush callback is synchronous (a numpy model predict, microseconds
 to low milliseconds) and runs on the event loop; per-item results are
@@ -39,8 +46,8 @@ __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Coalesce concurrent submissions into bounded, deadline-flushed
-    batches.
+    """Coalesce concurrent submissions into bounded batches, flushed as
+    soon as the event loop has no more to add.
 
     Parameters
     ----------
@@ -52,7 +59,8 @@ class MicroBatcher:
     max_batch:
         Flush as soon as this many items are pending.
     max_delay_s:
-        Flush when the oldest pending item has waited this long.
+        Upper bound on the oldest pending item's wait while new items
+        keep arriving every loop turn.
     name:
         Telemetry prefix (``<name>.batch_rows`` etc.), so two batchers
         in one process keep separate series.
@@ -78,7 +86,9 @@ class MicroBatcher:
         self.max_delay_s = float(max_delay_s)
         self.name = name
         self._pending: list[tuple[object, asyncio.Future]] = []
-        self._timer: asyncio.TimerHandle | None = None
+        #: The next-turn check of a non-empty batch (None when empty).
+        self._check: asyncio.Handle | None = None
+        self._deadline = 0.0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -97,13 +107,12 @@ class MicroBatcher:
         self._pending.append((item, future))
         if len(self._pending) >= self.max_batch:
             self._flush("size")
-        elif self._timer is None:
-            # The deadline is armed by the batch's *first* item and
-            # never re-armed by later arrivals: it bounds the oldest
+        elif self._check is None:
+            # The deadline is fixed by the batch's *first* item and
+            # never moved by later arrivals: it bounds the oldest
             # item's wait, not the newest's.
-            self._timer = loop.call_later(
-                self.max_delay_s, self._flush, "deadline"
-            )
+            self._deadline = loop.time() + self.max_delay_s
+            self._check = loop.call_soon(self._turn, loop, 0)
         return await future
 
     def flush_now(self) -> int:
@@ -118,10 +127,21 @@ class MicroBatcher:
         self._flush("close")
 
     # ------------------------------------------------------------------
+    def _turn(self, loop: asyncio.AbstractEventLoop, seen: int) -> None:
+        """Once per loop turn while a batch is open; *seen* is the batch
+        size at the previous check (0 before the first)."""
+        pending = len(self._pending)
+        if pending == seen:
+            self._flush("idle")
+        elif loop.time() >= self._deadline:
+            self._flush("deadline")
+        else:
+            self._check = loop.call_soon(self._turn, loop, pending)
+
     def _flush(self, trigger: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._check is not None:
+            self._check.cancel()
+            self._check = None
         batch, self._pending = self._pending, []
         if not batch:
             return

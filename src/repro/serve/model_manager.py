@@ -202,8 +202,10 @@ class ModelManager:
             ) from exc
         resilient = self._build_resilient(predictor, run)
         # Smoke test before anyone can route to it: a predictor that
-        # cannot answer a zero vector must never be promoted.
-        probe = resilient.predict(np.zeros((1, len(predictor.feature_columns))))
+        # cannot answer a zero vector must never be promoted.  The probe
+        # asks the model itself, so the chain's tier counters count
+        # requests only.
+        probe = predictor.predict(np.zeros((1, len(predictor.feature_columns))))
         if probe.shape != (1, len(predictor.systems)):
             raise ArtifactError(
                 f"{run.path}: predictor probe returned shape {probe.shape}"

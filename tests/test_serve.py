@@ -203,9 +203,9 @@ class TestCoalescer:
         assert asyncio.run(scenario()) == "only"
         assert batches == [["only"]]
 
-    def test_deadline_armed_by_oldest_item(self):
-        """Items trickling in under the deadline share the first item's
-        flush — the deadline is never re-armed by later arrivals."""
+    def test_same_turn_submits_share_one_flush(self):
+        """Submissions made in one loop turn ride one flush, in
+        submission order, without waiting for the deadline."""
         batches = []
 
         def flush(items):
@@ -213,15 +213,96 @@ class TestCoalescer:
             return items
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=100, max_delay_s=0.05)
-            tasks = []
-            for i in range(3):
-                tasks.append(asyncio.create_task(batcher.submit(i)))
-                await asyncio.sleep(0.005)
-            return await asyncio.gather(*tasks)
+            batcher = MicroBatcher(flush, max_batch=100, max_delay_s=30.0)
+            return await asyncio.gather(*(batcher.submit(i)
+                                          for i in range(5)))
 
-        assert asyncio.run(scenario()) == [0, 1, 2]
-        assert batches == [[0, 1, 2]]
+        assert asyncio.run(scenario()) == [0, 1, 2, 3, 4]
+        assert batches == [[0, 1, 2, 3, 4]]
+
+    def test_lone_item_does_not_wait_for_the_deadline(self):
+        """An item submitted into an idle loop is flushed at once: the
+        deadline is an upper bound, not a wait."""
+
+        async def scenario():
+            batcher = MicroBatcher(lambda items: items, max_batch=100,
+                                   max_delay_s=30.0)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            result = await batcher.submit("only")
+            return result, loop.time() - t0
+
+        result, waited = asyncio.run(scenario())
+        assert result == "only"
+        assert waited < 1.0
+
+    def test_deadline_armed_by_oldest_item(self):
+        """A producer that submits one item every loop turn keeps the
+        batch from going idle, so the deadline cuts it — measured from
+        the batch's oldest item, never re-armed by later arrivals."""
+        max_delay_s = 0.02
+        submitted: dict[int, float] = {}
+        flushes = []  # (flush time, batch)
+
+        def flush(items):
+            flushes.append((asyncio.get_running_loop().time(), list(items)))
+            return items
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(flush, max_batch=10**9,
+                                   max_delay_s=max_delay_s)
+
+            async def submit(i):
+                submitted[i] = loop.time()
+                return await batcher.submit(i)
+
+            tasks = []
+            stop = loop.time() + 5 * max_delay_s
+            while loop.time() < stop:
+                tasks.append(asyncio.create_task(submit(len(tasks))))
+                await asyncio.sleep(0)
+            return len(tasks), await asyncio.gather(*tasks)
+
+        n, results = asyncio.run(scenario())
+        assert results == list(range(n))
+        # Cut while the producer was still submitting: several batches,
+        # in submission order, every item in exactly one of them.
+        assert len(flushes) >= 2
+        assert [i for _, batch in flushes for i in batch] == results
+        for flushed_at, batch in flushes[:-1]:
+            assert len(batch) > 1
+            assert flushed_at - submitted[batch[0]] >= max_delay_s
+
+    def test_flush_counters_name_the_trigger(self):
+        from repro import telemetry
+
+        async def scenario():
+            sized = MicroBatcher(lambda items: items, max_batch=2,
+                                 max_delay_s=30.0, name="t.coalescer")
+            # Two items fill a batch (size); the third is alone once
+            # the loop has nothing more to add (idle).
+            await asyncio.gather(*(sized.submit(i) for i in range(3)))
+            # A zero deadline has run out by the first check of a batch
+            # that is still growing (deadline).
+            timed = MicroBatcher(lambda items: items, max_batch=100,
+                                 max_delay_s=0.0, name="t.coalescer")
+            await asyncio.gather(timed.submit(0), timed.submit(1))
+
+        telemetry.configure("metrics")
+        telemetry.reset()
+        try:
+            asyncio.run(scenario())
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.configure("off")
+            telemetry.reset()
+        assert {name: n for name, n in counters.items()
+                if name.startswith("t.coalescer.flush.")} == {
+            "t.coalescer.flush.size": 1,
+            "t.coalescer.flush.idle": 1,
+            "t.coalescer.flush.deadline": 1,
+        }
 
     def test_per_item_exception_spares_batch_mates(self):
         def flush(items):
@@ -306,6 +387,26 @@ class TestBitIdentical:
             assert response["batch_size"] == len(sample_payloads)
             offline = trained_xgb.predict_record(payload["record"])
             assert np.array_equal(np.asarray(response["rpv"]), offline)
+
+    def test_lone_request_does_not_wait_out_the_deadline(
+        self, registry, sample_payloads
+    ):
+        """The batch deadline is an upper bound: a request with no
+        company is answered as soon as the loop has nothing to add."""
+        import time
+
+        root, _ = registry
+        service = make_service(root, batch_deadline_s=30.0)
+
+        async def scenario():
+            t0 = time.perf_counter()
+            response = await service.handle_predict(dict(sample_payloads[0]))
+            return response, time.perf_counter() - t0
+
+        response, elapsed_s = asyncio.run(scenario())
+        assert response["tier"] == "model"
+        assert response["batch_size"] == 1
+        assert elapsed_s < 1.0
 
     def test_batched_features_match_predict(
         self, registry, trained_xgb, small_dataset
@@ -431,15 +532,20 @@ class TestOneChain:
     def test_unknown_machine_answers_the_chain_tier(
         self, registry, sample_payloads
     ):
+        """An unregistered machine, and a registered name that is not an
+        exact Table I system (its architecture one-hot would read all
+        zero), are both imputed, exactly as the chain answers alone."""
         root, _ = registry
-        record = dict(sample_payloads[0]["record"], machine="Frontier")
         service = make_service(root)
-        response = asyncio.run(service.handle_predict({"record": record}))
-        chain = service.manager.active.resilient.predict_record_detailed(
-            record
-        )
-        assert response["tier"] == chain.tier == "imputed"
-        assert np.array_equal(np.asarray(response["rpv"]), chain.rpv)
+        for machine in ("Frontier", "quartz", "QUARTZ"):
+            record = dict(sample_payloads[0]["record"], machine=machine)
+            response = asyncio.run(
+                service.handle_predict({"record": record}))
+            chain = service.manager.active.resilient.predict_record_detailed(
+                record
+            )
+            assert response["tier"] == chain.tier == "imputed", machine
+            assert np.array_equal(np.asarray(response["rpv"]), chain.rpv)
 
     def test_mixed_batch_matches_single_item_chain(
         self, registry, trained_xgb, small_dataset, sample_payloads
@@ -516,6 +622,14 @@ class TestModelManager:
         manager = ModelManager(root)
         assert manager.promote(chash[:12]) is True
         assert manager.active.config_hash == chash
+
+    def test_promotion_probe_is_not_traffic(self, registry):
+        """The smoke probe that guards a promotion asks the model
+        directly: no tier is counted before a request arrives."""
+        root, chash = registry
+        manager = ModelManager(root)
+        assert manager.promote(chash) is True
+        assert manager.active.resilient.tier_snapshot().total == 0
 
     def test_first_load_failure_raises(self, tmp_path):
         manager = ModelManager(tmp_path)
