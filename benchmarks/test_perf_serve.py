@@ -6,7 +6,8 @@ Two numbers define the service's performance story:
   (concurrent submits riding the vectorized predict) over rows/sec of
   the same predictions issued as sequential single-row calls.  This is
   the ratio micro-batching exists to win, measured back to back on the
-  same host, so it gates cleanly across differently-sized CI machines.
+  same host (best of five interleaved passes per side), so it gates
+  cleanly across differently-sized CI machines.
 * ``requests_per_sec`` (with p50/p99 latency) — end-to-end HTTP
   throughput of the full service under the deterministic load driver.
 
@@ -35,6 +36,9 @@ BENCH_PATH = Path(__file__).parent / "BENCH_serve.json"
 
 N_ROWS = 2048
 N_HTTP_REQUESTS = 150
+#: Interleaved timing passes per side of ``coalesce_speedup``; each side
+#: keeps its fastest pass.
+TIMING_REPEATS = 5
 #: Fresh-measurement floor: batching must beat row-at-a-time by at
 #: least this much or the coalescer is not earning its complexity.
 MIN_COALESCE_SPEEDUP = 2.0
@@ -69,9 +73,10 @@ def test_perf_serve(bench_dataset, bench_predictor):
     rows = [np.ascontiguousarray(row) for row in X]
 
     # --- sequential single-row predicts (the no-batching world) -------
-    t0 = time.perf_counter()
-    sequential = [bench_predictor.predict(row[None, :])[0] for row in rows]
-    sequential_s = time.perf_counter() - t0
+    def sequential_run():
+        t0 = time.perf_counter()
+        out = [bench_predictor.predict(row[None, :])[0] for row in rows]
+        return out, time.perf_counter() - t0
 
     # --- the same rows through the coalescer ---------------------------
     def flush(items):
@@ -83,11 +88,20 @@ def test_perf_serve(bench_dataset, bench_predictor):
         out = await asyncio.gather(*(batcher.submit(row) for row in rows))
         return out, time.perf_counter() - t1
 
-    batched, batched_s = asyncio.run(batched_run())
-    # Bit-identicality holds at benchmark scale too (tree traversal is
-    # batch-size invariant) — a speedup that changed answers is a bug.
-    for a, b in zip(sequential, batched):
-        assert np.array_equal(a, b)
+    # Best of TIMING_REPEATS, the two sides interleaved so a noisy
+    # stretch of the host hits both: one pass of either side is short
+    # enough that a single timing swings the ratio by half.
+    sequential_s = batched_s = float("inf")
+    for _ in range(TIMING_REPEATS):
+        sequential, elapsed = sequential_run()
+        sequential_s = min(sequential_s, elapsed)
+        batched, elapsed = asyncio.run(batched_run())
+        batched_s = min(batched_s, elapsed)
+        # Bit-identicality holds at benchmark scale too (tree traversal
+        # is batch-size invariant) — a speedup that changed answers is
+        # a bug.
+        for a, b in zip(sequential, batched):
+            assert np.array_equal(a, b)
 
     coalesce_speedup = sequential_s / batched_s
     results["serve_rows"] = N_ROWS

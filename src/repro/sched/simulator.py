@@ -72,7 +72,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry import flightrec
 from repro.sched.job import Job
 from repro.sched.machines import ClusterState, MachineState
 from repro.sched.policies import FCFSPolicy
@@ -230,16 +229,15 @@ class Scheduler:
             if job.job_id in seen:
                 raise ValueError(f"duplicate job_id {job.job_id}")
             seen.add(job.job_id)
-        # One boundary event per run (not per job): post-mortem context
-        # at ring-friendly volume, and the disabled-mode branch rides
-        # the scheduler perf gate in benchmarks/test_perf_telemetry.py.
-        flightrec.record(
-            "sched-run", jobs=len(jobs),
-            strategy=getattr(self.strategy, "name", "custom"),
-        )
+        # One boundary event per run (not per job), before the run so a
+        # run that raises is still in the flight ring; the disabled-mode
+        # branch rides the scheduler perf gate in
+        # benchmarks/test_perf_telemetry.py.
+        strategy = getattr(self.strategy, "name", "custom")
+        telemetry.event("sched.runs", jobs=len(jobs), strategy=strategy)
         with telemetry.span(
             "sched.run",
-            strategy=getattr(self.strategy, "name", "custom"),
+            strategy=strategy,
             jobs=len(jobs),
             faulty=self.faults is not None,
         ):
@@ -248,7 +246,6 @@ class Scheduler:
         # the event loop itself carries zero telemetry cost.
         if telemetry.metrics_enabled():
             stats = self.last_run_stats
-            telemetry.counter("sched.runs").inc()
             telemetry.counter("sched.wakeups").inc(stats.wakeups)
             telemetry.counter("sched.starts").inc(stats.starts)
             telemetry.counter("sched.backfilled").inc(stats.backfilled)

@@ -39,7 +39,6 @@ import asyncio
 import time
 
 from repro import telemetry
-from repro.telemetry import flightrec
 from repro.errors import ServeError
 
 __all__ = ["MicroBatcher"]
@@ -150,15 +149,13 @@ class MicroBatcher:
         try:
             results = self.flush_fn(items)
         except Exception as exc:  # noqa: BLE001 - fanned out, not hidden
-            telemetry.counter(f"{self.name}.flush_errors").inc()
-            flightrec.record("coalescer-flush-error", batcher=self.name,
-                             rows=len(items), error=type(exc).__name__)
+            telemetry.event(f"{self.name}.flush_errors", rows=len(items),
+                            error=type(exc).__name__)
             for _, future in batch:
                 if not future.done():
                     future.set_exception(exc)
             return
-        flightrec.record("coalescer-flush", batcher=self.name,
-                         trigger=trigger, rows=len(items))
+        telemetry.event(f"{self.name}.flush.{trigger}", rows=len(items))
         if telemetry.metrics_enabled():
             telemetry.histogram(f"{self.name}.batch_seconds").observe(
                 time.perf_counter() - t0
@@ -166,7 +163,6 @@ class MicroBatcher:
             telemetry.histogram(
                 f"{self.name}.batch_rows", telemetry.SIZE_BUCKETS
             ).observe(len(items))
-            telemetry.counter(f"{self.name}.flush.{trigger}").inc()
         if len(results) != len(batch):
             error = ServeError(
                 f"flush returned {len(results)} results for "

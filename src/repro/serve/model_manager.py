@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry import flightrec
 from repro.artifacts import LoadedRun, find_run, list_runs, verify_run
 from repro.errors import ArtifactError, ReproError, ServeError
 from repro.ioutils import atomic_write_text
@@ -292,9 +291,9 @@ class ModelManager:
         try:
             fresh = self.load_model(config_hash)
         except (ReproError, OSError) as exc:
-            telemetry.counter("serve.promote.failed").inc()
-            flightrec.record("promote-failed", config_hash=str(config_hash),
-                             error=type(exc).__name__)
+            telemetry.event("serve.promote.failed",
+                            config_hash=str(config_hash),
+                            error=type(exc).__name__)
             if active is None:
                 raise ServeError(
                     f"cannot load model {config_hash!r}: {exc}",
@@ -304,12 +303,11 @@ class ModelManager:
         # The swap: one reference assignment.  Batches that captured
         # the old ActiveModel finish on it; nothing is torn down.
         self._active = fresh
-        telemetry.counter("serve.promote.ok").inc()
-        telemetry.gauge("serve.model.loaded_at").set(fresh.loaded_at)
-        flightrec.record(
-            "model-swap", config_hash=fresh.config_hash,
+        telemetry.event(
+            "serve.promote.ok", config_hash=fresh.config_hash,
             previous=active.config_hash if active is not None else None,
         )
+        telemetry.gauge("serve.model.loaded_at").set(fresh.loaded_at)
         return True
 
     # ------------------------------------------------------------------

@@ -33,9 +33,10 @@ trace shows ``serve.request`` → ``serve.coalescer.batch`` →
 ``serve.predict``/``serve.degrade`` as linked parent-child spans even
 though the batch flush runs outside any request's call stack.  Error
 bodies additionally carry the serving model hash and the live admission
-state.  A flight-recorder ring captures admission transitions and batch
-flushes; transitions *into* shed and unhandled server errors dump it to
-``flight.json``.
+state.  Admission transitions, batch flushes, swaps and unhandled errors
+are ``telemetry.event`` calls, so they also land in the flight ring
+(``telemetry.flight``); transitions *into* shed and unhandled server
+errors dump it to ``flight.json``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from repro.serve.protocol import (
     predict_response,
     zeroshot_response,
 )
-from repro.telemetry import flightrec
 
 __all__ = ["PredictionService", "BatchResult"]
 
@@ -123,7 +123,7 @@ class PredictionService:
         #: Last admission decision, for transition detection.
         self._last_decision = "full"
         if flight_events:
-            flightrec.enable(flight_events)
+            telemetry.flight.enable(flight_events)
         self.strategy_name = strategy
         self.strategy = strategy_by_name(strategy)
         self.cluster = cluster if cluster is not None else ClusterState()
@@ -390,9 +390,9 @@ class PredictionService:
         previous, self._last_decision = self._last_decision, decision
         if decision == previous:
             return
-        flightrec.record(
-            "admission-transition", previous=previous, decision=decision,
-            inflight=self.admission.inflight,
+        telemetry.event(
+            "serve.admission.transition", previous=previous,
+            decision=decision, inflight=self.admission.inflight,
         )
         if decision == "shed":
             self.dump_flight("shed-transition")
@@ -400,9 +400,9 @@ class PredictionService:
     def dump_flight(self, reason: str):
         """Write the flight ring to ``flight.json``; returns the path
         (None when no path is configured or recording is off)."""
-        if self.flight_path is None or not flightrec.enabled():
+        if self.flight_path is None or not telemetry.flight.enabled:
             return None
-        telemetry.write_json(self.flight_path, flightrec.dump(reason))
+        telemetry.write_json(self.flight_path, telemetry.flight.dump(reason))
         return self.flight_path
 
     async def _route(self, method: str, target: str,
@@ -467,10 +467,9 @@ class PredictionService:
             # An unhandled handler error is a server bug: record it,
             # dump the flight ring for the post-mortem, and answer a
             # typed 500 instead of tearing down the connection.
-            flightrec.record("unhandled-error", endpoint=endpoint,
-                             error=type(exc).__name__)
+            telemetry.event("serve.http.unhandled", endpoint=endpoint,
+                            error=type(exc).__name__)
             self.dump_flight("unhandled-error")
-            telemetry.counter("serve.http.unhandled").inc()
             status, payload = 500, {
                 "error": f"internal error: {type(exc).__name__}",
                 "reason": "internal",

@@ -15,6 +15,7 @@ The instrumented layers call the accessors below unconditionally::
     from repro import telemetry
 
     telemetry.counter("dataset.cache.hits").inc(5)
+    telemetry.event("serve.promote.ok", config_hash=digest)
     with telemetry.span("sched.run", strategy="model") as sp:
         ...
         sp.annotate(jobs=len(jobs))
@@ -25,6 +26,14 @@ and ``span()`` returns a no-op handle — the cost is one global read and
 a branch, which the telemetry benchmark holds to < 5% on the scheduler
 hot loop.  Nothing is ever recorded until :func:`configure` switches the
 mode on, so importing this package has no observable effect.
+
+Boundary events (a batch flush, a model swap, an admission transition)
+go through :func:`event`: it increments the counter of that name and
+feeds the same name, with its fields, to the process flight ring
+:data:`flight` — a bounded post-mortem sink that is enabled on its own
+(``repro serve --flight-events``), independent of the mode.  One call
+per boundary, so a ``flight.json`` dump and a ``/metrics`` scrape
+always agree on names.
 
 Cross-process aggregation: :func:`repro.parallel.run_tasks` snapshots
 each worker's registry per task and the parent folds the snapshots back
@@ -40,7 +49,7 @@ every other layer may instrument itself without import cycles.
 from __future__ import annotations
 
 from repro.errors import TelemetryError
-from repro.telemetry import flightrec, slo
+from repro.telemetry import slo
 from repro.telemetry.export import (
     chrome_trace,
     prometheus_sample,
@@ -49,6 +58,7 @@ from repro.telemetry.export import (
     spans_jsonl,
     write_json,
 )
+from repro.telemetry.flightrec import FlightRecorder
 from repro.telemetry.metrics import (
     LATENCY_BUCKETS_S,
     NULL_METRIC,
@@ -77,6 +87,8 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "event",
+    "flight",
     "snapshot",
     "merge_snapshot",
     "spans",
@@ -89,8 +101,8 @@ __all__ = [
     "prometheus_sample",
     "render_run_report",
     "format_slo_table",
-    "flightrec",
     "slo",
+    "FlightRecorder",
     "Counter",
     "Gauge",
     "Histogram",
@@ -110,6 +122,9 @@ MODES: tuple[str, ...] = ("off", "metrics", "trace")
 _MODE: str = "off"
 _REGISTRY = MetricsRegistry()
 _TRACER = Tracer(enabled=False)
+
+#: The process flight ring :func:`event` feeds (disabled by default).
+flight = FlightRecorder()
 
 
 def configure(mode: str | None) -> None:
@@ -210,6 +225,16 @@ def histogram(name: str, buckets: tuple[float, ...] = LATENCY_BUCKETS_S):
     return _REGISTRY.histogram(name, buckets)
 
 
+def event(name: str, **fields) -> None:
+    """One boundary event: counter *name* +1 when metrics are on, and
+    ``(ts, name, fields)`` appended to :data:`flight` when the ring is
+    enabled.  With both off it is one mode check and one branch."""
+    if _MODE != "off":
+        _REGISTRY.counter(name).inc()
+    if flight.enabled:
+        flight.record(name, **fields)
+
+
 # ----------------------------------------------------------------------
 # Collection plumbing (used by the CLI spine and the parallel executor).
 
@@ -229,6 +254,8 @@ def spans() -> list[SpanRecord]:
 
 
 def reset() -> None:
-    """Clear all collected metrics and spans (mode is unchanged)."""
+    """Clear all collected metrics, spans and flight events (mode and
+    whether the ring records are unchanged)."""
     _REGISTRY.reset()
     _TRACER.reset()
+    flight.clear()

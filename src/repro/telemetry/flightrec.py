@@ -1,28 +1,30 @@
-"""Flight recorder: a bounded ring of recent events for post-mortems.
+"""Flight ring: a bounded sink of recent boundary events for post-mortems.
 
 Trace mode answers "what happened?" only when it was switched on
 *before* the interesting request — which is never true for the request
-that crashed production.  The flight recorder closes that gap: the
-serving and scheduling layers drop tiny boundary records (admission
-transitions, batch flushes, model swaps, signals) into a fixed-size
-ring as they run, and when something notable happens — a shed
-transition, SIGTERM, an unhandled server error — the last *capacity*
-events are dumped to a manifest-inventoried ``flight.json``.
+that crashed production.  The flight ring closes that gap: every
+``telemetry.event(name, **fields)`` call (admission transitions, batch
+flushes, model swaps, scheduling runs) is appended to the ring as it
+runs, and when something notable happens — a shed transition, SIGTERM,
+an unhandled server error — the last *capacity* events are dumped to a
+manifest-inventoried ``flight.json``.  An event's ``kind`` is the
+counter name it increments, so a dump and a ``/metrics`` scrape use the
+same names.
 
 Cost discipline, enforced by ``benchmarks/test_perf_telemetry.py``:
 
-* disabled (the default), :func:`record` is one attribute load and a
-  falsy branch — no allocation, no lock (< 2 µs/call gate);
+* disabled (the default), :meth:`FlightRecorder.record` is one
+  attribute load and a falsy branch — no allocation, no lock;
 * enabled, an append is one ``deque.append`` with ``maxlen`` under a
   lock: O(1), no growth, the oldest record falls off the back.
 
 Timestamps are wall-clock ``time.time_ns()`` — flight dumps are for
 humans correlating with logs, not for measuring durations.
 
-Like the tracer/registry there is one module-level recorder; the
-:class:`FlightRecorder` class stays importable for isolated use in
-tests.  Layering: depends on nothing above the stdlib, so every layer
-may record into it (enforced by ``tools/check_layering.py``).
+The process-wide ring is ``repro.telemetry.flight``; nothing outside
+``repro.telemetry`` imports this module (enforced by
+``tools/check_layering.py``), so instrumented layers speak only the
+``telemetry.event`` vocabulary.
 """
 
 from __future__ import annotations
@@ -31,25 +33,17 @@ import threading
 import time
 from collections import deque
 
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "FlightRecorder",
-    "recorder",
-    "enable",
-    "disable",
-    "enabled",
-    "record",
-    "dump",
-]
+__all__ = ["DEFAULT_CAPACITY", "FLIGHT_FORMAT_VERSION", "FlightRecorder"]
 
-#: Ring size when :func:`enable` is not given one.  512 events at the
-#: serve layer's record rate (one per admission transition / batch
-#: flush / swap, not one per request) spans minutes of history in a
-#: few tens of kilobytes.
+#: Ring size when :meth:`FlightRecorder.enable` is not given one: a few
+#: tens of kilobytes.  The serve layer emits one event per admission
+#: transition, swap and batch flush, and a flush can be as small as one
+#: request, so under load this is the last few hundred requests.
 DEFAULT_CAPACITY = 512
 
-#: Format version stamped into every dump.
-FLIGHT_FORMAT_VERSION = 1
+#: Format version stamped into every dump.  Version 2: event kinds are
+#: the counter names of ``telemetry.event``.
+FLIGHT_FORMAT_VERSION = 2
 
 
 class FlightRecorder:
@@ -125,32 +119,3 @@ class FlightRecorder:
                 for ts, kind, fields in events
             ],
         }
-
-
-#: The process-wide recorder the instrumented layers write into.
-_RECORDER = FlightRecorder()
-
-
-def recorder() -> FlightRecorder:
-    """The module-level recorder instance."""
-    return _RECORDER
-
-
-def enable(capacity: int | None = None) -> None:
-    _RECORDER.enable(capacity)
-
-
-def disable() -> None:
-    _RECORDER.disable()
-
-
-def enabled() -> bool:
-    return _RECORDER.enabled
-
-
-def record(kind: str, **fields) -> None:
-    _RECORDER.record(kind, **fields)
-
-
-def dump(reason: str = "manual") -> dict:
-    return _RECORDER.dump(reason)

@@ -91,10 +91,20 @@ def test_tool_detects_an_engine_importing_the_frozen_oracle(
     (sched / "strategies.py").write_text("import tests.sched_reference\n")
     (sched / "metrics.py").write_text("from tests import sched_reference\n")
     (sched / "job.py").write_text("from repro.sched import simulator\n")
+    # The flight ring is fed through telemetry.event only: a layer
+    # importing the recorder module would regrow a second event
+    # vocabulary beside the counter names.
+    (sched / "policies.py").write_text(
+        "from repro.telemetry import flightrec\n"
+    )
     monkeypatch.setattr(tool, "SRC", tmp_path / "src")
     problems = tool.violations()
-    assert len(problems) == 3
+    assert len(problems) == 4
     for module in ("simulator", "strategies", "metrics"):
         assert any(p.startswith(f"repro.sched.{module} ")
                    and "tests" in p and "no repro module" in p
                    for p in problems)
+    assert any(p.startswith("repro.sched.policies ")
+               and "repro.telemetry.flightrec" in p
+               and "only repro.telemetry may import" in p
+               for p in problems)

@@ -18,8 +18,7 @@ import pytest
 from repro import telemetry
 from repro.errors import TelemetryError
 from repro.serve.admission import AdmissionController
-from repro.telemetry import flightrec
-from repro.telemetry.flightrec import FlightRecorder
+from repro.telemetry import FlightRecorder
 from repro.telemetry.report import format_slo_table
 from repro.telemetry.slo import (
     BurnAlert,
@@ -34,13 +33,11 @@ from repro.telemetry.slo import (
 def _clean_telemetry():
     telemetry.configure("off")
     telemetry.reset()
-    flightrec.disable()
-    flightrec.recorder().clear()
+    telemetry.flight.disable()
     yield
     telemetry.configure("off")
     telemetry.reset()
-    flightrec.disable()
-    flightrec.recorder().clear()
+    telemetry.flight.disable()
 
 
 def _load_prom_checker():
@@ -335,24 +332,40 @@ class TestFlightRecorder:
 
     def test_dump_shape_is_versioned_and_json_clean(self):
         recorder = FlightRecorder(capacity=8, enabled=True)
-        recorder.record("model-swap", config_hash="abc")
+        recorder.record("serve.promote.ok", config_hash="abc")
         dump = recorder.dump("shed-transition")
-        assert dump["flight_format_version"] == 1
+        assert dump["flight_format_version"] == 2
         assert dump["reason"] == "shed-transition"
         assert dump["dumped_at_unix_ns"] > 0
-        assert dump["events"][0]["kind"] == "model-swap"
+        assert dump["events"][0]["kind"] == "serve.promote.ok"
         assert dump["events"][0]["ts_unix_ns"] > 0
         assert json.loads(json.dumps(dump)) == dump
 
     def test_module_recorder_enable_disable(self):
-        flightrec.enable(16)
-        assert flightrec.enabled()
-        flightrec.record("boundary", layer="test")
-        assert flightrec.dump("manual")["events"][-1]["kind"] == "boundary"
-        flightrec.disable()
-        flightrec.record("after-disable")
-        kinds = [e["kind"] for e in flightrec.dump("manual")["events"]]
+        telemetry.flight.enable(16)
+        assert telemetry.flight.enabled
+        telemetry.event("boundary", layer="test")
+        events = telemetry.flight.dump("manual")["events"]
+        assert events[-1]["kind"] == "boundary"
+        telemetry.flight.disable()
+        telemetry.event("after-disable")
+        kinds = [e["kind"] for e in telemetry.flight.dump("manual")["events"]]
         assert "after-disable" not in kinds
+
+    @pytest.mark.parametrize("mode,ring", [
+        ("off", False), ("metrics", False), ("off", True), ("metrics", True),
+    ])
+    def test_event_feeds_each_enabled_sink(self, mode, ring):
+        telemetry.configure(mode)
+        if ring:
+            telemetry.flight.enable(8)
+        telemetry.event("serve.promote.ok", config_hash="abc")
+        counters = telemetry.snapshot()["counters"]
+        events = telemetry.flight.dump("manual")["events"]
+        assert counters == ({"serve.promote.ok": 1}
+                            if mode == "metrics" else {})
+        assert [(e["kind"], e["config_hash"]) for e in events] == (
+            [("serve.promote.ok", "abc")] if ring else [])
 
     def test_resize_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -366,12 +379,12 @@ class TestFlightRecorder:
             Scheduler,
         )
 
-        flightrec.enable(16)
+        telemetry.flight.enable(16)
         jobs = [Job(job_id=0, app="a", uses_gpu=False, nodes_required=1,
                     runtimes={"X": 1.0})]
         Scheduler(RoundRobinStrategy(), ClusterState({"X": 2})).run(jobs)
-        events = flightrec.dump("manual")["events"]
-        assert any(e["kind"] == "sched-run" and e["jobs"] == 1
+        events = telemetry.flight.dump("manual")["events"]
+        assert any(e["kind"] == "sched.runs" and e["jobs"] == 1
                    for e in events)
 
 

@@ -988,7 +988,7 @@ class TestObservability:
     def test_unhandled_error_answers_500_and_dumps_flight(
         self, registry, tmp_path, monkeypatch
     ):
-        from repro.telemetry import flightrec
+        from repro import telemetry
 
         root, chash = registry
         service = make_service(root, flight_events=64)
@@ -1007,14 +1007,14 @@ class TestObservability:
             assert "RuntimeError" in body["error"]
             assert body["model_hash"] == chash
             dump = json.loads(service.flight_path.read_text())
-            assert dump["flight_format_version"] == 1
+            assert dump["flight_format_version"] == 2
             assert dump["reason"] == "unhandled-error"
-            assert any(e["kind"] == "unhandled-error"
+            assert any(e["kind"] == "serve.http.unhandled"
                        and e["endpoint"] == "metrics"
                        for e in dump["events"])
         finally:
-            flightrec.disable()
-            flightrec.recorder().clear()
+            telemetry.flight.disable()
+            telemetry.flight.clear()
 
     def test_batch_spans_link_to_request_spans(
         self, registry, sample_payloads, tracing
@@ -1291,7 +1291,7 @@ class TestSLOAdmission:
     def test_shed_transition_records_flight_event(
         self, registry, sample_payloads, tmp_path
     ):
-        from repro.telemetry import flightrec
+        from repro import telemetry
 
         root, _ = registry
         service = make_service(root, slo=self._policy(threshold_s=1e-9),
@@ -1308,9 +1308,49 @@ class TestSLOAdmission:
             dump = json.loads(service.flight_path.read_text())
             assert dump["reason"] == "shed-transition"
             transitions = [e for e in dump["events"]
-                           if e["kind"] == "admission-transition"]
+                           if e["kind"] == "serve.admission.transition"]
             assert transitions[-1]["previous"] == "full"
             assert transitions[-1]["decision"] == "shed"
         finally:
-            flightrec.disable()
-            flightrec.recorder().clear()
+            telemetry.flight.disable()
+            telemetry.flight.clear()
+
+    def test_flight_kinds_are_counter_names(
+        self, registry, sample_payloads, tmp_path, monkeypatch
+    ):
+        """A flush, a shed transition and an unhandled 500 each reach
+        the flight ring under the counter name ``/metrics`` reports."""
+        from repro import telemetry
+
+        telemetry.configure("metrics")
+        telemetry.reset()
+        root, _ = registry
+        service = make_service(root, slo=self._policy(threshold_s=1e-9),
+                               max_batch=1, batch_deadline_s=0.001,
+                               flight_events=64)
+        service.flight_path = tmp_path / "flight.json"
+
+        def boom():
+            raise RuntimeError("exporter bug")
+
+        monkeypatch.setattr(service, "metrics_payload", boom)
+        try:
+            async def scenario():
+                await service.handle_predict(dict(sample_payloads[0]))
+                with pytest.raises(ServeError):
+                    await service.handle_predict(dict(sample_payloads[1]))
+                return await service._route("GET", "/metrics", b"")
+
+            status, _ = asyncio.run(scenario())
+            assert status == 500
+            dump = json.loads(service.flight_path.read_text())
+            counters = telemetry.snapshot()["counters"]
+            kinds = {event["kind"] for event in dump["events"]}
+            assert {"serve.coalescer.flush.size",
+                    "serve.admission.transition",
+                    "serve.http.unhandled"} <= kinds
+            assert kinds <= set(counters)
+        finally:
+            telemetry.configure("off")
+            telemetry.reset()
+            telemetry.flight.disable()

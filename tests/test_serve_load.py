@@ -300,7 +300,6 @@ def test_shed_flight_dump_survives_verify_run(load_registry, tmp_path):
     finalized run (dump included) passes artifact verification."""
     from repro.artifacts import RunDir, verify_run
     from repro.config import ExperimentConfig, ServeConfig
-    from repro.telemetry import flightrec
 
     payloads = synthesize_payloads(4, seed=9)
     run = RunDir.create(
@@ -329,14 +328,16 @@ def test_shed_flight_dump_survives_verify_run(load_registry, tmp_path):
         statuses = asyncio.run(scenario())
         assert statuses == [200, 503, 503, 503]
         dump = json.loads(run.file("flight.json").read_text())
-        assert dump["flight_format_version"] == 1
+        assert dump["flight_format_version"] == 2
         assert dump["reason"] == "shed-transition"
         kinds = {event["kind"] for event in dump["events"]}
-        assert "admission-transition" in kinds
-        assert "coalescer-flush" in kinds  # the batch path records too
+        assert "serve.admission.transition" in kinds
+        # the batch path records too
+        assert any(kind.startswith("serve.coalescer.flush.")
+                   for kind in kinds)
         run.finalize()
         verified = verify_run(run.path)
         assert "flight.json" in verified.files()
     finally:
-        flightrec.disable()
-        flightrec.recorder().clear()
+        telemetry.flight.disable()
+        telemetry.flight.clear()

@@ -21,6 +21,10 @@ every other layer can depend on them without cycles:
 * ``repro.telemetry`` (and its submodules) may import only
   ``repro.errors`` and each other — it is instrumented *into* every
   layer, so it must depend on none of them;
+* ``repro.telemetry.flightrec`` may be imported only from inside
+  ``repro.telemetry`` (reverse check below): instrumented layers feed
+  the flight ring through ``telemetry.event``, so a boundary names each
+  event once, under its counter name, never in a second vocabulary;
 * ``repro.sweep``     (and its submodules) may import only the spine
   plus ``repro.artifacts``, ``repro.parallel``, and the retry policy —
   cells are executed through the CLI replay path, so the sweep layer
@@ -253,10 +257,12 @@ def repro_imports(module: str, submodules: bool = False,
 #: leak into the library layers (the self-profiler is operational
 #: tooling the CLI exposes, not a dependency science code may grow) and
 #: for the test suite and its oracles, which nothing in the package may
-#: import.  An importer matches if it equals an entry or lives under an
-#: entry's package.
+#: import, and for the flight ring's module, which the layers reach only
+#: through ``telemetry.event``/``telemetry.flight``.  An importer
+#: matches if it equals an entry or lives under an entry's package.
 RESTRICTED_IMPORTERS = {
     "repro.perf": {"repro.cli"},
+    "repro.telemetry.flightrec": {"repro.telemetry"},
     "tests": set(),
 }
 
