@@ -103,7 +103,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cfg = experiment.config
     manager = ModelManager(cfg.registry,
                            poll_interval_s=cfg.watch_interval_ms / 1e3)
-    manager.promote(manager.resolve_hash(cfg.model_hash))
     service = PredictionService(
         manager,
         strategy=cfg.strategy,
@@ -114,6 +113,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo=_build_slo(cfg),
         flight_events=cfg.flight_events,
     )
+    # Promote after the service enabled the flight ring, so the startup
+    # model's serve.promote.ok is in every flight.json.
+    manager.promote(manager.resolve_hash(cfg.model_hash))
     run = open_run(args, experiment)
     if run is not None and cfg.flight_events:
         service.flight_path = run.file("flight.json")

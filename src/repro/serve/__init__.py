@@ -10,7 +10,8 @@ from a registered scheduling strategy.
 
 The moving parts, one module each:
 
-* :mod:`repro.serve.protocol` — wire schema and typed validation;
+* :mod:`repro.serve.protocol` — wire schema, typed validation and the
+  one bounded HTTP/1.1 reader both ends of the wire use;
 * :mod:`repro.serve.coalescer` — :class:`MicroBatcher`, flush on
   idle/size/deadline, per-item result fan-out;
 * :mod:`repro.serve.model_manager` — :class:`ModelManager`, loads

@@ -15,13 +15,14 @@ those from the degradation chain, HTTP 200 with a non-``model`` tier),
 and ``malformed_fraction`` mangles the request schema itself (the
 service rejects those with a typed 400).
 
-:func:`http_request` is the one tiny HTTP client used by the CLI
-self-test and the CI smoke job — stdlib asyncio streams, one request
-per connection, JSON in/out.  The load driver itself uses
-:class:`HttpSession` — a persistent keep-alive connection with
-content-length response framing — across a fixed pool, so sustained
-load measures the service, not per-request TCP setup (the old
-connection-per-request driver put handshake queueing in the p99).
+The HTTP client is :class:`HttpSession`, a persistent keep-alive
+connection (stdlib asyncio streams, JSON in/out) whose responses are
+framed by :func:`repro.serve.protocol.read_message`, the same bounded
+reader the server uses for requests.  The load driver (:func:`run_load`,
+which the CLI self-test runs) spreads its requests over a fixed pool of
+sessions, so sustained load measures the service, not per-request TCP
+setup.  :func:`http_request` is a one-shot exchange over a fresh
+session, for tests and probes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.serve.protocol import read_message
 
 __all__ = [
     "HttpSession",
@@ -129,43 +132,24 @@ async def http_request(
     payload: dict | None = None,
     timeout_s: float = 30.0,
 ) -> tuple[int, dict]:
-    """One JSON HTTP exchange; returns ``(status, body)``."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout_s
-    )
+    """One JSON exchange on a fresh connection; returns ``(status, body)``."""
+    session = HttpSession(host, port, timeout_s)
     try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        head = (
-            f"{method} {target} HTTP/1.1\r\n"
-            f"host: {host}:{port}\r\n"
-            f"content-type: application/json\r\n"
-            f"content-length: {len(body)}\r\n"
-            f"connection: close\r\n\r\n"
-        ).encode("ascii")
-        writer.write(head + body)
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout_s)
+        return await session.request(method, target, payload)
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    status_line = head_blob.split(b"\r\n", 1)[0].decode("latin-1")
-    status = int(status_line.split()[1])
-    return status, json.loads(body_blob.decode())
+        await session.aclose()
 
 
 class HttpSession:
     """A persistent keep-alive HTTP connection (stdlib asyncio streams).
 
     One in-flight request at a time (requests on a connection are
-    sequential by construction); responses are framed by their
-    ``content-length`` header so the connection survives the exchange.
-    A dropped connection — server restart, error-path close — is
-    re-opened transparently on the next request.  Close with
-    :meth:`aclose`.
+    sequential by construction); responses are framed by
+    :func:`~repro.serve.protocol.read_message`, so the connection
+    survives the exchange and a malformed response is a typed
+    :class:`~repro.errors.ServeError`.  A dropped connection — server
+    restart, error-path close — is re-opened transparently on the next
+    request.  Close with :meth:`aclose`.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0):
@@ -184,12 +168,12 @@ class HttpSession:
             )
             self.connects += 1
 
-    async def _close_transport(self) -> None:
+    async def aclose(self) -> None:
         if self._writer is not None:
             self._writer.close()
             try:
                 await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 pass
         self._reader = None
         self._writer = None
@@ -213,40 +197,19 @@ class HttpSession:
         try:
             self._writer.write(head + body)
             await self._writer.drain()
-            status_line = await asyncio.wait_for(
-                self._reader.readline(), self.timeout_s
-            )
-            if not status_line:
+            message = await asyncio.wait_for(read_message(self._reader),
+                                             self.timeout_s)
+            if message is None:
                 raise ConnectionResetError("server closed the connection")
-            status = int(status_line.split()[1])
-            length = 0
-            close_after = False
-            while True:
-                line = await asyncio.wait_for(
-                    self._reader.readline(), self.timeout_s
-                )
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                name = name.strip().lower()
-                if name == "content-length":
-                    length = int(value.strip())
-                elif name == "connection" and value.strip().lower() == "close":
-                    close_after = True
-            raw = await asyncio.wait_for(
-                self._reader.readexactly(length), self.timeout_s
-            ) if length else b""
+            (_version, status, _reason), headers, raw = message
         except BaseException:
             # Leave no half-read response behind: the next request gets
             # a fresh connection instead of desynchronized framing.
-            await self._close_transport()
+            await self.aclose()
             raise
-        if close_after:
-            await self._close_transport()
-        return status, json.loads(raw.decode()) if raw else {}
-
-    async def aclose(self) -> None:
-        await self._close_transport()
+        if headers.get("connection", "").lower() == "close":
+            await self.aclose()
+        return int(status), json.loads(raw.decode()) if raw else {}
 
 
 # ----------------------------------------------------------------------
@@ -368,8 +331,7 @@ async def run_load(
                 status, body = await session.request(
                     "POST", "/predict", payload
                 )
-            except (OSError, asyncio.TimeoutError, ValueError,
-                    json.JSONDecodeError, asyncio.IncompleteReadError):
+            except (OSError, asyncio.TimeoutError, ValueError):
                 report.sent += 1
                 report.failed += 1
                 continue

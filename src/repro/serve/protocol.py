@@ -39,10 +39,16 @@ Every defect raises a typed :class:`~repro.errors.ServeError` carrying
 an HTTP status code and a machine-readable ``reason`` slug, so the
 server maps malformed input to one 400 response shape and load tests
 assert on slugs instead of prose.
+
+Framing: :func:`read_message` is the one HTTP/1.1 reader of the serve
+wire.  The server reads requests with it and
+:class:`~repro.serve.loadgen.HttpSession` reads responses with it, so
+both ends enforce the same bounds.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import re
 from dataclasses import dataclass
@@ -61,6 +67,7 @@ __all__ = [
     "error_response",
     "mint_request_id",
     "peek_wire_ids",
+    "read_message",
 ]
 
 #: Bumped whenever the request/response schema changes incompatibly.
@@ -76,6 +83,64 @@ _MAX_MACHINES = 64
 #: Wire-supplied correlation ids: bounded, log-safe charset (no
 #: whitespace, quotes, or control bytes to smuggle into logs/traces).
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
+
+#: Wire bounds of one message.  The head (start line and headers) is
+#: also bounded by the stream's limit, asyncio's default 64 KiB.
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 1 << 22
+
+#: ``content-length`` is ``1*DIGIT``; over seven significant digits is
+#: over MAX_BODY_BYTES (and a hostile value never reaches ``int()``).
+_CONTENT_LENGTH = re.compile(r"0*([0-9]{1,7})")
+
+
+async def read_message(reader: asyncio.StreamReader):
+    """Read one HTTP/1.1 message: ``(start_line, headers, body)``.
+
+    The start line comes split into its three fields (method, target,
+    version or version, status, reason), header names lower-cased, and
+    the body is ``content-length`` bytes.  Returns None when the stream
+    ends before a message starts.  A framing defect is a typed
+    :class:`ServeError`, after which the connection must close: 431
+    ``headers-too-large`` for a head over the stream limit or
+    MAX_HEADERS; 400 ``bad-http`` for a start line that is not three
+    ASCII fields, a nameless header, or a ``content-length`` that is not
+    digits, exceeds MAX_BODY_BYTES or repeats with another value;
+    ``truncated`` when the stream ends mid-message.
+    """
+    head = b""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+        start, *lines = head[:-4].split(b"\r\n")
+        if len(lines) > MAX_HEADERS:
+            raise ServeError(f"over {MAX_HEADERS} header lines", code=431,
+                             reason="headers-too-large")
+        start_line = start.decode("latin-1").split(maxsplit=2)
+        if not start.isascii() or len(start_line) != 3:
+            raise ServeError("malformed start line", reason="bad-http")
+        headers: dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if not colon or not name:
+                raise ServeError("malformed header line", reason="bad-http")
+            if name == "content-length" and headers.get(name, value) != value:
+                raise ServeError("content-length repeats with another value",
+                                 reason="bad-http")
+            headers[name] = value
+        digits = _CONTENT_LENGTH.fullmatch(headers.get("content-length", "0"))
+        if digits is None or int(digits[1]) > MAX_BODY_BYTES:
+            raise ServeError("bad content-length", reason="bad-http")
+        body = await reader.readexactly(int(digits[1]))
+    except asyncio.IncompleteReadError as exc:
+        if not head and not exc.partial:
+            return None
+        raise ServeError("stream ended mid-message",
+                         reason="truncated") from None
+    except asyncio.LimitOverrunError:
+        raise ServeError("message head exceeds the stream limit", code=431,
+                         reason="headers-too-large") from None
+    return start_line, headers, body
 
 
 def mint_request_id() -> str:

@@ -23,8 +23,10 @@ Endpoints: ``POST /predict``, ``GET /metrics`` (admission counters,
 tier snapshot, coalescer state, telemetry snapshot; add
 ``?format=prometheus`` for text exposition), ``GET /healthz``,
 ``GET /model``.  The HTTP layer is deliberately minimal stdlib asyncio
-(request line + headers + content-length body) — the service binds to
-loopback for a scheduler sidecar, not the open internet.
+(request line + headers + content-length body, framed by the bounded
+:func:`~repro.serve.protocol.read_message`; a framing defect gets its
+typed 400/431 and a closed connection) — the service binds to loopback
+for a scheduler sidecar, not the open internet.
 
 Observability: every request gets a ``request_id``/``trace_id`` (wire
 values win, absent ones are minted) echoed in the response — success
@@ -48,6 +50,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from urllib.parse import parse_qs
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from repro.serve.protocol import (
     parse_predict_payload,
     peek_wire_ids,
     predict_response,
+    read_message,
     zeroshot_response,
 )
 
@@ -70,8 +74,9 @@ __all__ = ["PredictionService", "BatchResult"]
 
 #: Response statuses the minimal HTTP writer knows how to phrase.
 _PHRASES = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            405: "Method Not Allowed",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 class _TextBody(str):
@@ -415,26 +420,22 @@ class PredictionService:
         t0 = time.perf_counter()
         request_id = trace_id = None
         try:
+            if method != ("POST" if target == "/predict" else "GET"):
+                raise ServeError(f"{method} not allowed on {target!r}",
+                                 code=405, reason="method")
             if target == "/predict":
-                if method != "POST":
-                    status, payload = 405, {"error": "POST required",
-                                            "reason": "method"}
-                else:
-                    try:
-                        data = json.loads(body or b"")
-                    except json.JSONDecodeError as exc:
-                        raise ServeError(
-                            f"request body is not valid JSON: {exc}"
-                        ) from exc
-                    request_id, trace_id = peek_wire_ids(data)
-                    status, payload = 200, await self.handle_predict(
-                        data, request_id=request_id, trace_id=trace_id
-                    )
-            elif method != "GET":
-                status, payload = 405, {"error": "GET required",
-                                        "reason": "method"}
+                try:
+                    data = json.loads(body or b"")
+                except json.JSONDecodeError as exc:
+                    raise ServeError(
+                        f"request body is not valid JSON: {exc}"
+                    ) from exc
+                request_id, trace_id = peek_wire_ids(data)
+                status, payload = 200, await self.handle_predict(
+                    data, request_id=request_id, trace_id=trace_id
+                )
             elif target == "/metrics":
-                fmt = self._metrics_format(query)
+                fmt = parse_qs(query).get("format", ["json"])[-1]
                 if fmt == "prometheus":
                     status, payload = 200, self.prometheus_payload()
                 elif fmt == "json":
@@ -455,10 +456,8 @@ class PredictionService:
             elif target == "/model":
                 status, payload = 200, self.manager.active.describe()
             else:
-                status, payload = 404, {
-                    "error": f"no such endpoint {target!r}",
-                    "reason": "not-found",
-                }
+                raise ServeError(f"no such endpoint {target!r}", code=404,
+                                 reason="not-found")
         except ServeError as exc:
             status, payload = error_response(exc)
             request_id = getattr(exc, "request_id", None) or request_id
@@ -484,16 +483,6 @@ class PredictionService:
             payload = self._with_error_context(payload, request_id,
                                                trace_id)
         return status, payload
-
-    @staticmethod
-    def _metrics_format(query: str) -> str:
-        """The ``format=`` value of a ``/metrics`` query (default json)."""
-        fmt = "json"
-        for part in query.split("&"):
-            key, _, value = part.partition("=")
-            if key == "format" and value:
-                fmt = value
-        return fmt
 
     def _with_error_context(self, body: dict, request_id: str | None,
                             trace_id: str | None) -> dict:
@@ -611,53 +600,20 @@ class PredictionService:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
                 try:
-                    method, target, _version = (
-                        request_line.decode("ascii").split(maxsplit=2)
-                    )
-                except (UnicodeDecodeError, ValueError):
-                    await self._respond(
-                        writer, 400,
-                        self._with_error_context(
-                            {"error": "malformed request line",
-                             "reason": "bad-http"}, None, None,
-                        ),
-                        close=True,
-                    )
+                    message = await read_message(reader)
+                except ServeError as exc:
+                    # A framing defect leaves the stream position
+                    # unknowable: answer it (unless the client went away
+                    # mid-message) and close.
+                    if exc.reason != "truncated":
+                        status, payload = error_response(exc)
+                        payload = self._with_error_context(payload, None, None)
+                        await self._respond(writer, status, payload, close=True)
                     break
-                headers: dict[str, str] = {}
-                # Repeated content-length values that disagree leave the
-                # body's end unknowable: answering one reading would parse
-                # the rest of the body as the next request.
-                conflicting = False
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = line.decode("latin-1").partition(":")
-                    key, value = key.strip().lower(), value.strip()
-                    if key == "content-length":
-                        conflicting |= headers.get(key, value) != value
-                    headers[key] = value
-                try:
-                    length = (-1 if conflicting else
-                              int(headers.get("content-length", "0") or "0"))
-                except ValueError:
-                    length = -1
-                if length < 0 or length > (1 << 22):
-                    await self._respond(
-                        writer, 400,
-                        self._with_error_context(
-                            {"error": "bad content-length",
-                             "reason": "bad-http"}, None, None,
-                        ),
-                        close=True,
-                    )
+                if message is None:
                     break
-                body = await reader.readexactly(length) if length else b""
+                (method, target, _version), headers, body = message
                 status, payload = await self._route(
                     method.upper(), target, body
                 )
@@ -665,13 +621,13 @@ class PredictionService:
                 await self._respond(writer, status, payload, close=close)
                 if close:
                     break
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # client went away mid-request
+        except ConnectionError:
+            pass  # client went away mid-exchange
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,

@@ -7,16 +7,18 @@ that crashed production.  The flight ring closes that gap: every
 flushes, model swaps, scheduling runs) is appended to the ring as it
 runs, and when something notable happens — a shed transition, SIGTERM,
 an unhandled server error — the last *capacity* events are dumped to a
-manifest-inventoried ``flight.json``.  An event's ``kind`` is the
-counter name it increments, so a dump and a ``/metrics`` scrape use the
-same names.
+manifest-inventoried ``flight.json``, together with the latest event of
+every kind, so a rare transition or swap survives a storm of flushes.
+An event's ``kind`` is the counter name it increments, so a dump and a
+``/metrics`` scrape use the same names.
 
 Cost discipline, enforced by ``benchmarks/test_perf_telemetry.py``:
 
 * disabled (the default), :meth:`FlightRecorder.record` is one
   attribute load and a falsy branch — no allocation, no lock;
-* enabled, an append is one ``deque.append`` with ``maxlen`` under a
-  lock: O(1), no growth, the oldest record falls off the back.
+* enabled, an append is one ``deque.append`` with ``maxlen`` and one
+  dict store under a lock: O(1), no growth past the ring and one entry
+  per event name.
 
 Timestamps are wall-clock ``time.time_ns()`` — flight dumps are for
 humans correlating with logs, not for measuring durations.
@@ -49,11 +51,13 @@ FLIGHT_FORMAT_VERSION = 2
 class FlightRecorder:
     """Bounded in-memory event ring with O(1) append."""
 
-    __slots__ = ("_ring", "_lock", "_enabled", "_recorded")
+    __slots__ = ("_ring", "_latest", "_lock", "_enabled", "_recorded")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  enabled: bool = False):
         self._ring: deque = deque(maxlen=int(capacity))
+        #: kind -> its latest event, kept after it falls off the ring.
+        self._latest: dict = {}
         self._lock = threading.Lock()
         self._enabled = bool(enabled)
         self._recorded = 0
@@ -87,6 +91,7 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
+            self._latest.clear()
             self._recorded = 0
 
     # ------------------------------------------------------------------
@@ -97,6 +102,7 @@ class FlightRecorder:
         event = (time.time_ns(), kind, fields)
         with self._lock:
             self._ring.append(event)
+            self._latest[kind] = event
             self._recorded += 1
 
     def dump(self, reason: str = "manual") -> dict:
@@ -104,18 +110,22 @@ class FlightRecorder:
 
         ``recorded`` counts every event since the last :meth:`clear`,
         so ``recorded - len(events)`` is how many fell off the back.
+        ``latest`` holds the newest event of every kind since that
+        :meth:`clear`, oldest first, whether or not it is still in the
+        ring.
         """
         with self._lock:
             events = list(self._ring)
+            latest = sorted(self._latest.values(), key=lambda e: e[0])
             recorded = self._recorded
+        rows = [{"ts_unix_ns": ts, "kind": kind, **fields}
+                for ts, kind, fields in events + latest]
         return {
             "flight_format_version": FLIGHT_FORMAT_VERSION,
             "reason": reason,
             "dumped_at_unix_ns": time.time_ns(),
             "capacity": self.capacity,
             "recorded": recorded,
-            "events": [
-                {"ts_unix_ns": ts, "kind": kind, **fields}
-                for ts, kind, fields in events
-            ],
+            "events": rows[:len(events)],
+            "latest": rows[len(events):],
         }

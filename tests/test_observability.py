@@ -367,6 +367,28 @@ class TestFlightRecorder:
         assert [(e["kind"], e["config_hash"]) for e in events] == (
             [("serve.promote.ok", "abc")] if ring else [])
 
+    def test_latest_of_each_kind_outlives_a_flush_storm(self):
+        telemetry.flight.enable(512)
+        telemetry.event("serve.promote.ok", config_hash="abc")
+        telemetry.event("serve.admission.transition", previous="full",
+                        decision="shed", inflight=3)
+        for i in range(2000):
+            telemetry.event("serve.coalescer.flush.idle", rows=i)
+        dump = telemetry.flight.dump("shed-transition")
+        assert dump["recorded"] == 2002
+        assert len(dump["events"]) == 512
+        assert {e["kind"] for e in dump["events"]} == {
+            "serve.coalescer.flush.idle"}
+        latest = [(e["kind"], e.get("config_hash"), e.get("decision"),
+                   e.get("rows")) for e in dump["latest"]]
+        assert latest == [
+            ("serve.promote.ok", "abc", None, None),
+            ("serve.admission.transition", None, "shed", None),
+            ("serve.coalescer.flush.idle", None, None, 1999),
+        ]
+        telemetry.flight.clear()
+        assert telemetry.flight.dump("manual")["latest"] == []
+
     def test_resize_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="capacity"):
             FlightRecorder(capacity=8, enabled=True).enable(0)

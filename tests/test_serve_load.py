@@ -341,3 +341,25 @@ def test_shed_flight_dump_survives_verify_run(load_registry, tmp_path):
     finally:
         telemetry.flight.disable()
         telemetry.flight.clear()
+
+
+def test_self_test_flight_dump_holds_the_startup_promotion(
+    load_registry, tmp_path
+):
+    """``repro serve --self-test`` enables the flight ring before it
+    promotes the startup model, so its dump holds ``serve.promote.ok``."""
+    from repro.cli import main
+
+    try:
+        code = main(["serve", "--registry", str(load_registry),
+                     "--self-test", "4", "--selftest-rate", "0",
+                     "--run-dir", str(tmp_path)])
+        assert code == 0
+        [flight] = tmp_path.glob("serve-*/flight.json")
+        dump = json.loads(flight.read_text())
+        assert dump["reason"] == "selftest-complete"
+        assert any(event["kind"] == "serve.promote.ok"
+                   for event in dump["latest"])
+    finally:
+        telemetry.flight.disable()
+        telemetry.flight.clear()
