@@ -17,6 +17,7 @@ from repro.arch.machines import SYSTEM_ORDER
 from repro.dataset.schema import (
     ARCH_COLUMNS,
     CONFIG_FEATURES,
+    FEATURE_COLUMNS,
     MAGNITUDE_FEATURES,
     RATIO_FEATURES,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "featurize_record",
     "featurize_records",
     "screen_record",
+    "FIELD_FEEDS",
     "RAW_FOR_MAGNITUDE",
     "RATIO_SOURCES",
     "REQUIRED_RECORD_FIELDS",
@@ -64,6 +66,20 @@ REQUIRED_RECORD_FIELDS: tuple[str, ...] = (
     *CONFIG_FEATURES,
 )
 
+#: The kernel's index plan: where in a raw row (REQUIRED_RECORD_FIELDS
+#: order) each ratio numerator, magnitude and config feature is read.
+_AT = {name: i for i, name in enumerate(REQUIRED_RECORD_FIELDS)}
+_RATIO_AT = [_AT[RATIO_SOURCES[f]] for f in RATIO_FEATURES]
+_MAGNITUDE_AT = [_AT[RAW_FOR_MAGNITUDE[f]] for f in MAGNITUDE_FEATURES]
+_CONFIG_AT = [_AT[f] for f in CONFIG_FEATURES]
+
+#: The feature columns each raw field feeds: what a broken field taints.
+FIELD_FEEDS: dict[str, tuple[str, ...]] = {
+    **{REQUIRED_RECORD_FIELDS[at]: (f,) for at, f in
+       zip(_RATIO_AT + _MAGNITUDE_AT + _CONFIG_AT, FEATURE_COLUMNS)},
+    "total_instructions": RATIO_FEATURES, "machine": ARCH_COLUMNS,
+}
+
 
 def screen_record(record: Mapping) -> tuple[dict, list[str]]:
     """One raw run record -> ``(values, bad)``, its single screen.
@@ -89,24 +105,37 @@ def screen_record(record: Mapping) -> tuple[dict, list[str]]:
     return values, bad
 
 
+def _feature_matrix(raw: np.ndarray, machines: np.ndarray,
+                    normalizer: FeatureNormalizer) -> np.ndarray:
+    """The one featurization formula: raw float64 rows (fields in
+    REQUIRED_RECORD_FIELDS order) and their machine names -> ``(n, 21)``
+    features in FEATURE_COLUMNS order.  Every step is elementwise within
+    a row, so a row is bit-equal to deriving it alone."""
+    total = raw[:, [_AT["total_instructions"]]]
+    if (total <= 0).any():
+        raise ValueError("total_instructions must be positive")
+    return np.hstack([
+        raw[:, _RATIO_AT] / total,
+        normalizer.scale(raw[:, _MAGNITUDE_AT]),
+        raw[:, _CONFIG_AT],
+        machines[:, None] == np.array(SYSTEM_ORDER),
+    ])
+
+
 def featurize_records(
     values: Sequence[Mapping],
     normalizer: FeatureNormalizer | None,
     columns: list[str] | tuple[str, ...],
 ) -> np.ndarray:
     """Screened :func:`screen_record` values -> one row each over
-    *columns*, derived in one :func:`derive_feature_frame` call through
-    the fitted *normalizer*.  Derivation is column-wise elementwise
-    arithmetic, so each row is bit-equal to featurizing it alone."""
+    *columns*, through the fitted *normalizer*."""
     if normalizer is None:
         raise RuntimeError("record featurized before the normalizer was fit")
-    frame = Frame({
-        **{name: np.array([v[name] for v in values], dtype=np.float64)
-           for name in REQUIRED_RECORD_FIELDS},
-        "machine": [v["machine"] for v in values],
-    })
-    featured, _ = derive_feature_frame(frame, normalizer=normalizer)
-    return featured.to_matrix(list(columns))
+    raw = np.array([[v[name] for name in REQUIRED_RECORD_FIELDS]
+                    for v in values], dtype=np.float64)
+    machines = np.array([v["machine"] for v in values], dtype=str)
+    return _feature_matrix(raw, machines, normalizer).take(
+        [FEATURE_COLUMNS.index(column) for column in columns], axis=1)
 
 
 def featurize_record(
@@ -152,45 +181,43 @@ class FeatureNormalizer:
     @classmethod
     def identity(cls) -> "FeatureNormalizer":
         """A fitted no-op normalizer (for already-normalized tables)."""
-        norm = cls()
-        norm.means_ = {f: 0.0 for f in MAGNITUDE_FEATURES}
-        norm.stds_ = {f: 1.0 for f in MAGNITUDE_FEATURES}
-        norm._identity = True
-        return norm
+        return cls.from_dict({"means": dict.fromkeys(MAGNITUDE_FEATURES, 0.0),
+                              "stds": dict.fromkeys(MAGNITUDE_FEATURES, 1.0),
+                              "identity": True})
 
-    def fit(self, frame: Frame) -> "FeatureNormalizer":
-        self.means_ = {}
-        self.stds_ = {}
-        for feature in MAGNITUDE_FEATURES:
-            values = np.log1p(np.asarray(frame[feature], dtype=np.float64))
+    def fit(self, magnitudes: np.ndarray) -> "FeatureNormalizer":
+        """Fit on raw ``(n, 8)`` magnitudes (MAGNITUDE_FEATURES order)."""
+        self.means_, self.stds_ = {}, {}
+        for feature, column in zip(MAGNITUDE_FEATURES, magnitudes.T):
+            values = np.log1p(column)
             self.means_[feature] = float(values.mean())
             std = float(values.std())
             self.stds_[feature] = std if std > 0 else 1.0
         return self
 
-    def transform(self, frame: Frame) -> Frame:
+    def scale(self, magnitudes: np.ndarray) -> np.ndarray:
+        """Raw ``(n, 8)`` magnitudes (MAGNITUDE_FEATURES order) ->
+        ``(log1p(x) - mean) / std`` per column; identity keeps them."""
         if self.means_ is None or self.stds_ is None:
-            raise RuntimeError("transform called before fit")
+            raise RuntimeError("normalizer used before fit")
         if self._identity:
-            return frame
-        # One batched copy for all eight columns instead of a full-frame
-        # copy per column.
-        return frame.with_columns({
-            feature: (np.log1p(np.asarray(frame[feature], dtype=np.float64))
-                      - self.means_[feature]) / self.stds_[feature]
-            for feature in MAGNITUDE_FEATURES
-        })
+            return magnitudes
+        means, stds = ([fitted[f] for f in MAGNITUDE_FEATURES]
+                       for fitted in (self.means_, self.stds_))
+        return (np.log1p(magnitudes) - means) / stds
 
     def to_dict(self) -> dict:
         if self.means_ is None or self.stds_ is None:
             raise RuntimeError("normalizer not fitted")
-        return {"means": dict(self.means_), "stds": dict(self.stds_)}
+        return {"means": dict(self.means_), "stds": dict(self.stds_),
+                **({"identity": True} if self._identity else {})}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureNormalizer":
         norm = cls()
         norm.means_ = {k: float(v) for k, v in data["means"].items()}
         norm.stds_ = {k: float(v) for k, v in data["stds"].items()}
+        norm._identity = bool(data.get("identity", False))
         return norm
 
 
@@ -205,24 +232,15 @@ def derive_feature_frame(
     ``cores``, ``uses_gpu``.  When *normalizer* is None a new one is
     fitted on these records (the paper normalizes over the dataset).
 
-    Returns the augmented frame and the normalizer used.
+    Returns the frame with the ratio, magnitude and one-hot columns
+    attached (config columns keep their dtype), and the normalizer used.
     """
-    total = np.asarray(records["total_instructions"], dtype=np.float64)
-    if (total <= 0).any():
-        raise ValueError("total_instructions must be positive")
-    # All derived columns are computed as whole-column numpy expressions
-    # and attached in one batched copy (with_columns), so feature
-    # derivation is frame-level work rather than a per-column (or worse,
-    # per-row) Python loop.
-    derived: dict[str, np.ndarray] = {}
-    for feature, raw in RATIO_SOURCES.items():
-        derived[feature] = np.asarray(records[raw], dtype=np.float64) / total
-    for feature, raw in RAW_FOR_MAGNITUDE.items():
-        derived[feature] = np.asarray(records[raw], dtype=np.float64)
-    machines = records["machine"].astype(str)
-    for system, column in zip(SYSTEM_ORDER, ARCH_COLUMNS):
-        derived[column] = (machines == system).astype(np.float64)
-    out = records.with_columns(derived)
+    raw = records.to_matrix(REQUIRED_RECORD_FIELDS)
     if normalizer is None:
-        normalizer = FeatureNormalizer().fit(out)
-    return normalizer.transform(out), normalizer
+        normalizer = FeatureNormalizer().fit(raw[:, _MAGNITUDE_AT])
+    features = _feature_matrix(raw, records["machine"].astype(str),
+                               normalizer)
+    return records.with_columns({
+        column: features[:, j] for j, column in enumerate(FEATURE_COLUMNS)
+        if column not in CONFIG_FEATURES
+    }), normalizer

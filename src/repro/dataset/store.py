@@ -62,14 +62,10 @@ def save_npz(dataset: MPHPCDataset, path: str | Path) -> None:
         else:
             arrays[f"col_{name}"] = np.asarray(col)
             column_types[name] = str(col.dtype)
-    try:
-        normalizer = dataset.normalizer.to_dict()
-    except RuntimeError:
-        normalizer = None
     meta = {
         "columns": frame.columns,
         "column_types": column_types,
-        "normalizer": normalizer,
+        "normalizer": dataset.normalizer.to_dict(),
         "feature_columns": list(dataset.feature_columns),
         "target_columns": list(dataset.target_columns),
     }
@@ -90,14 +86,9 @@ def load_npz(path: str | Path) -> MPHPCDataset:
                 data[name] = arr.astype(object)
             else:
                 data[name] = arr
-    frame = Frame(data)
-    if meta["normalizer"] is not None:
-        normalizer = FeatureNormalizer.from_dict(meta["normalizer"])
-    else:
-        normalizer = FeatureNormalizer.identity()
     return MPHPCDataset(
-        frame=frame,
-        normalizer=normalizer,
+        frame=Frame(data),
+        normalizer=FeatureNormalizer.from_dict(meta["normalizer"]),
         feature_columns=tuple(meta["feature_columns"]),
         target_columns=tuple(meta["target_columns"]),
     )

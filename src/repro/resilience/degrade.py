@@ -46,13 +46,7 @@ import numpy as np
 from repro import telemetry
 from repro.arch.machines import SYSTEM_ORDER
 from repro.core.predictor import CrossArchPredictor
-from repro.dataset.features import (
-    RAW_FOR_MAGNITUDE,
-    RATIO_SOURCES,
-    featurize_records,
-    screen_record,
-)
-from repro.dataset.schema import ARCH_COLUMNS, CONFIG_FEATURES, RATIO_FEATURES
+from repro.dataset.features import FIELD_FEEDS, featurize_records, screen_record
 from repro.errors import ReproError
 
 __all__ = [
@@ -71,15 +65,6 @@ TIERS = ("model", "imputed", "mean_rpv", "heuristic")
 #: across CPU (Quartz, Ruby) and GPU (Lassen, Corona) systems.
 _HEURISTIC_GPU = {"Quartz": 1.0, "Ruby": 0.85, "Lassen": 0.25, "Corona": 0.3}
 _HEURISTIC_CPU = {"Quartz": 0.8, "Ruby": 0.65, "Lassen": 1.0, "Corona": 0.95}
-
-#: Which derived features a broken raw field taints.
-_TAINTS: dict[str, tuple[str, ...]] = {
-    **{raw: (feat,) for feat, raw in RATIO_SOURCES.items()},
-    **{raw: (feat,) for feat, raw in RAW_FOR_MAGNITUDE.items()},
-    **{name: (name,) for name in CONFIG_FEATURES},
-    "total_instructions": tuple(RATIO_FEATURES),
-    "machine": tuple(ARCH_COLUMNS),
-}
 
 
 def degraded_fraction_of(tier_counts: Mapping[str, int]) -> float:
@@ -308,7 +293,7 @@ class ResilientPredictor:
                 for i, _, bad in pending:
                     if bad:
                         tainted = set().union(
-                            *(_TAINTS.get(name, ()) for name in bad))
+                            *(FIELD_FEEDS[name] for name in bad))
                         taint[i] = ~np.isfinite(X[i]) | np.array(
                             [column in tainted for column in columns])
                         repaired[i] = tuple(sorted(bad))

@@ -104,8 +104,9 @@ async def read_message(reader: asyncio.StreamReader):
     :class:`ServeError`, after which the connection must close: 431
     ``headers-too-large`` for a head over the stream limit or
     MAX_HEADERS; 400 ``bad-http`` for a start line that is not three
-    ASCII fields, a nameless header, or a ``content-length`` that is not
-    digits, exceeds MAX_BODY_BYTES or repeats with another value;
+    ASCII fields, a nameless header, any ``transfer-encoding`` (only
+    ``content-length`` framing is read), or a ``content-length`` that is
+    not digits, exceeds MAX_BODY_BYTES or repeats with another value;
     ``truncated`` when the stream ends mid-message.
     """
     head = b""
@@ -129,8 +130,10 @@ async def read_message(reader: asyncio.StreamReader):
                                  reason="bad-http")
             headers[name] = value
         digits = _CONTENT_LENGTH.fullmatch(headers.get("content-length", "0"))
-        if digits is None or int(digits[1]) > MAX_BODY_BYTES:
-            raise ServeError("bad content-length", reason="bad-http")
+        if (digits is None or int(digits[1]) > MAX_BODY_BYTES
+                or "transfer-encoding" in headers):
+            raise ServeError("body not framed by one valid content-length",
+                             reason="bad-http")
         body = await reader.readexactly(int(digits[1]))
     except asyncio.IncompleteReadError as exc:
         if not head and not exc.partial:

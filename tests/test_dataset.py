@@ -16,6 +16,8 @@ from repro.dataset import (
     MPHPCDataset,
     derive_feature_frame,
     generate_dataset,
+    load_npz,
+    save_npz,
 )
 from repro.errors import DatasetError, ReproError
 from repro.frame import Frame, write_csv
@@ -211,9 +213,33 @@ class TestFeatures:
         assert back.means_ == norm.means_
         assert back.stds_ == norm.stds_
 
+    def test_identity_normalizer_survives_serialization(self, tmp_path,
+                                                        small_dataset):
+        """An identity normalizer stays identity through ``to_dict`` /
+        ``from_dict`` and through ``save_npz`` -> ``load_npz`` of a
+        dataset loaded from CSV, so reloaded data featurizes new records
+        exactly as before (no ``log1p`` sneaks in)."""
+        records = self._records().with_column("l1_load_miss", [10.0, 1000.0])
+        identity = FeatureNormalizer.identity()
+        back = FeatureNormalizer.from_dict(identity.to_dict())
+        for norm in (identity, back):
+            out, _ = derive_feature_frame(records, normalizer=norm)
+            assert out["l1_load_misses"].tolist() == [10.0, 1000.0]
+        small_dataset.save(tmp_path / "d.csv")
+        from_csv = MPHPCDataset.load(tmp_path / "d.csv")
+        save_npz(from_csv, tmp_path / "d.npz")
+        reloaded = load_npz(tmp_path / "d.npz").normalizer
+        out, _ = derive_feature_frame(records, normalizer=reloaded)
+        assert out["l1_load_misses"].tolist() == [10.0, 1000.0]
+
+    def test_fitted_normalizer_dict_is_unchanged(self):
+        _, norm = derive_feature_frame(self._records())
+        assert set(norm.to_dict()) == {"means", "stds"}
+
     def test_unfitted_normalizer_raises(self):
         with pytest.raises(RuntimeError):
-            FeatureNormalizer().transform(self._records())
+            derive_feature_frame(self._records(),
+                                 normalizer=FeatureNormalizer())
 
     def test_zero_instructions_rejected(self):
         records = self._records().with_column(

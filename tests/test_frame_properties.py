@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataset.features import FeatureNormalizer
+from repro.dataset.features import (
+    RAW_FOR_MAGNITUDE,
+    REQUIRED_RECORD_FIELDS,
+    FeatureNormalizer,
+    derive_feature_frame,
+)
 from repro.dataset.schema import MAGNITUDE_FEATURES
 from repro.frame import Frame, concat
 
@@ -161,21 +166,23 @@ magnitude_rows = st.lists(
 )
 
 
-def _magnitude_frame(values: list[float], seed: int) -> Frame:
-    """A frame with every magnitude column, each a distinct permutation
-    of the generated values so columns are not trivially identical."""
+def _raw_frame(values: list[float], seed: int) -> Frame:
+    """Raw run records whose magnitude counters are each a distinct
+    permutation of the generated values, so the derived magnitude
+    columns are not trivially identical."""
     rng = np.random.default_rng(seed)
     base = np.asarray(values, dtype=np.float64)
     return Frame({
-        feature: rng.permutation(base) for feature in MAGNITUDE_FEATURES
+        **{name: np.ones(len(base)) for name in REQUIRED_RECORD_FIELDS},
+        **{raw: rng.permutation(base) for raw in RAW_FOR_MAGNITUDE.values()},
+        "machine": ["Quartz"] * len(base),
     })
 
 
 @given(values=magnitude_rows, seed=st.integers(0, 100))
 @settings(max_examples=50, deadline=None)
 def test_property_normalizer_no_nan_inf_leakage(values, seed):
-    frame = _magnitude_frame(values, seed)
-    out = FeatureNormalizer().fit(frame).transform(frame)
+    out, _ = derive_feature_frame(_raw_frame(values, seed))
     for feature in MAGNITUDE_FEATURES:
         assert np.isfinite(out[feature]).all()
 
@@ -183,11 +190,11 @@ def test_property_normalizer_no_nan_inf_leakage(values, seed):
 @given(values=magnitude_rows, seed=st.integers(0, 100))
 @settings(max_examples=50, deadline=None)
 def test_property_normalizer_fit_invariant_to_row_order(values, seed):
-    frame = _magnitude_frame(values, seed)
+    frame = _raw_frame(values, seed)
     rng = np.random.default_rng(seed + 1)
     shuffled = frame.take(rng.permutation(frame.num_rows))
-    a = FeatureNormalizer().fit(frame)
-    b = FeatureNormalizer().fit(shuffled)
+    _, a = derive_feature_frame(frame)
+    _, b = derive_feature_frame(shuffled)
     for feature in MAGNITUDE_FEATURES:
         assert a.means_[feature] == pytest.approx(b.means_[feature],
                                                   rel=1e-12, abs=1e-12)
@@ -198,11 +205,13 @@ def test_property_normalizer_fit_invariant_to_row_order(values, seed):
 @given(values=magnitude_rows, seed=st.integers(0, 100))
 @settings(max_examples=50, deadline=None)
 def test_property_normalizer_transform_commutes_with_permutation(values, seed):
-    frame = _magnitude_frame(values, seed)
-    norm = FeatureNormalizer().fit(frame)
+    frame = _raw_frame(values, seed)
+    _, norm = derive_feature_frame(frame)
     order = np.random.default_rng(seed + 2).permutation(frame.num_rows)
-    transformed_then_permuted = norm.transform(frame).take(order)
-    permuted_then_transformed = norm.transform(frame.take(order))
+    transformed_then_permuted = derive_feature_frame(frame, norm)[0].take(
+        order)
+    permuted_then_transformed = derive_feature_frame(frame.take(order),
+                                                     norm)[0]
     assert transformed_then_permuted == permuted_then_transformed
 
 
@@ -210,11 +219,10 @@ def test_property_normalizer_transform_commutes_with_permutation(values, seed):
 @settings(max_examples=50, deadline=None)
 def test_property_normalizer_round_trip_recovers_values(values, seed):
     """Inverting the z-score and the log1p recovers the raw magnitudes."""
-    frame = _magnitude_frame(values, seed)
-    norm = FeatureNormalizer().fit(frame)
-    out = norm.transform(frame)
-    for feature in MAGNITUDE_FEATURES:
-        raw = np.asarray(frame[feature], dtype=np.float64)
+    frame = _raw_frame(values, seed)
+    out, norm = derive_feature_frame(frame)
+    for feature, raw_name in RAW_FOR_MAGNITUDE.items():
+        raw = np.asarray(frame[raw_name], dtype=np.float64)
         z = np.asarray(out[feature], dtype=np.float64)
         recovered = np.expm1(z * norm.stds_[feature] + norm.means_[feature])
         np.testing.assert_allclose(recovered, raw, rtol=1e-6, atol=1e-6)
@@ -223,7 +231,8 @@ def test_property_normalizer_round_trip_recovers_values(values, seed):
 @given(values=magnitude_rows, seed=st.integers(0, 100))
 @settings(max_examples=50, deadline=None)
 def test_property_normalizer_serialization_round_trip(values, seed):
-    frame = _magnitude_frame(values, seed)
-    norm = FeatureNormalizer().fit(frame)
+    frame = _raw_frame(values, seed)
+    _, norm = derive_feature_frame(frame)
     back = FeatureNormalizer.from_dict(norm.to_dict())
-    assert norm.transform(frame) == back.transform(frame)
+    assert derive_feature_frame(frame, norm)[0] == derive_feature_frame(
+        frame, back)[0]

@@ -239,7 +239,9 @@ class TestCoalescer:
     def test_deadline_armed_by_oldest_item(self):
         """A producer that submits one item every loop turn keeps the
         batch from going idle, so the deadline cuts it — measured from
-        the batch's oldest item, never re-armed by later arrivals."""
+        the batch's oldest item, never re-armed by later arrivals.  The
+        producer runs until two batches are cut, so a stalled loop turn
+        delays the cuts instead of ending the producer first."""
         max_delay_s = 0.02
         submitted: dict[int, float] = {}
         flushes = []  # (flush time, batch)
@@ -258,8 +260,8 @@ class TestCoalescer:
                 return await batcher.submit(i)
 
             tasks = []
-            stop = loop.time() + 5 * max_delay_s
-            while loop.time() < stop:
+            give_up = loop.time() + 30.0
+            while len(flushes) < 2 and loop.time() < give_up:
                 tasks.append(asyncio.create_task(submit(len(tasks))))
                 await asyncio.sleep(0)
             return len(tasks), await asyncio.gather(*tasks)

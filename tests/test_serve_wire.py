@@ -28,6 +28,10 @@ LIMIT = 1 << 16
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
+#: A chunked request: the reader frames bodies by content-length only.
+CHUNKED = (b"POST /predict HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+           b"5\r\nhello\r\n0\r\n\r\n")
+
 
 def read_all(data: bytes) -> list:
     """Every message *data* frames, then the ServeError that ended it."""
@@ -138,6 +142,15 @@ class TestReadMessage:
         [error] = read_all(request(headers=differ, body=b"{}x"))
         assert (error.code, error.reason) == (400, "bad-http")
 
+    def test_transfer_encoding_is_refused_before_the_body(self):
+        """A chunked body is never read as 0 bytes with its chunk lines
+        left over as the next request."""
+        [error] = read_all(CHUNKED)
+        assert (error.code, error.reason) == (400, "bad-http")
+        both = [("content-length", "2"), ("transfer-encoding", "identity")]
+        [error] = read_all(request(headers=both, body=b"{}"))
+        assert (error.code, error.reason) == (400, "bad-http")
+
     def test_zero_padded_content_length(self):
         headers = [("content-length", "0" * 40 + "2")]
         [(_, _, body)] = read_all(request(headers=headers, body=b"{}"))
@@ -245,3 +258,11 @@ class TestServerFraming:
         assert head.startswith("HTTP/1.1 431 ")
         assert "connection: close" in head
         assert body["reason"] == "headers-too-large"
+
+    def test_transfer_encoding_is_typed_400_and_closes(self, registry):
+        service = make_service(registry)
+        head, body = reply(exchange(service, CHUNKED))
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "connection: close" in head
+        assert body["reason"] == "bad-http"
+        assert service.request_counts == {}
