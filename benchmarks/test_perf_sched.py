@@ -5,7 +5,8 @@ pre-optimization ``ReferenceScheduler`` (``tests/sched_reference.py``) on
 a contended 10,000-job workload (verifying bit-identical schedules on
 the way) for the model strategy and for the blind ``random`` and
 ``round_robin`` baselines, and the flat vectorized ensemble predict
-against the per-tree traversal it replaced (verifying exact equality).
+against the frozen per-tree traversal it replaced
+(``tests/tree_reference.py``, verifying exact equality).
 Throughput numbers — scheduling events/sec and prediction rows/sec — are
 recorded to ``benchmarks/BENCH_sched.json`` so the performance
 trajectory is tracked from this PR onward.
@@ -32,9 +33,10 @@ from repro.sched import ClusterState, Job, Scheduler, strategy_by_name
 
 from conftest import record_bench
 
-# The frozen reference is a test oracle under tests/, outside the package.
+# The frozen references are test oracles under tests/, outside the package.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.sched_reference import ReferenceScheduler  # noqa: E402
+from tests.tree_reference import reference_predict_binned  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_sched.json"
 
@@ -135,7 +137,7 @@ def test_perf_sched_and_predict():
         pred = np.tile(gbt.base_score_, (Xb.shape[0], 1))
         for round_trees in gbt.trees_:
             for out, tree in enumerate(round_trees):
-                pred[:, out] += tree.predict_binned(Xb)[:, 0]
+                pred[:, out] += reference_predict_binned(tree, Xb)[:, 0]
         return pred
 
     old_pred = per_tree()

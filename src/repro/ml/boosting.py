@@ -37,12 +37,39 @@ from itertools import chain
 import numpy as np
 
 from repro import native, telemetry
-from repro.ml.tree import Binner, FlatEnsemble, Tree, TreeParams, grow_tree
+from repro.ml.tree import (
+    Binner,
+    FlatEnsemble,
+    FlatStackCache,
+    Tree,
+    TreeParams,
+    average_gain_importances,
+    grow_tree,
+)
 
 __all__ = ["GradientBoostedTrees"]
 
 
-class GradientBoostedTrees:
+def _tree_columns(rounds: list[list[Tree]], vector_leaves: bool) -> np.ndarray:
+    """The int32 first output column of every tree of *rounds*: 0 for a
+    vector-leaf tree, ``out`` for tree ``out`` of a per-output round."""
+    if vector_leaves:
+        return np.zeros(sum(map(len, rounds)), dtype=np.int32)
+    return np.concatenate([np.arange(len(round_trees), dtype=np.int32)
+                           for round_trees in rounds])
+
+
+def _add_round(pred: np.ndarray, round_trees: list[Tree], Xb: np.ndarray,
+               vector_leaves: bool) -> None:
+    """Add one round's trees to the running prediction *pred*, in place,
+    tree by tree at the columns :func:`_tree_columns` gives them."""
+    cols = _tree_columns([round_trees], vector_leaves).tolist()
+    for tree, col in zip(round_trees, cols):
+        leaf = tree.predict_binned(Xb)
+        pred[:, col:col + leaf.shape[1]] += leaf
+
+
+class GradientBoostedTrees(FlatStackCache):
     """Gradient-boosted regression trees with XGBoost-style regularization.
 
     Parameters
@@ -90,14 +117,6 @@ class GradientBoostedTrees:
     >>> float(np.abs(model.predict(X)[:, 0] - y).mean()) < 0.2
     True
     """
-
-    #: quantile level -> (trees, (FlatEnsemble, per-tree columns)).  The
-    #: class-level empty dict serves unfitted models, unpickled copies
-    #: (``__getstate__`` drops the cache) and pickles that predate it;
-    #: it is replaced, never mutated in place.
-    _head_flat_cache: dict[
-        float, tuple[tuple[Tree, ...], tuple[FlatEnsemble, np.ndarray]]
-    ] = {}
 
     def __init__(
         self,
@@ -168,17 +187,6 @@ class GradientBoostedTrees:
         self.base_score_: np.ndarray | None = None
         self.n_features_: int = 0
         self.n_outputs_: int = 0
-        self._single_output_input = False
-        # Lazily-built flat stacked ensemble for vectorized prediction,
-        # keyed by strong references to the trees themselves so direct
-        # trees_ replacement (deserialization, early-stopping
-        # truncation, a serve hot-swap) always misses — an id-based key
-        # could false-hit when a replaced tree's id is recycled.  Each
-        # quantile head's stack is cached the same way, per level, in
-        # _head_flat_cache.
-        self._flat_cache: tuple[
-            tuple[Tree, ...], tuple[FlatEnsemble, np.ndarray]
-        ] | None = None
         #: Per-round metrics recorded during fit: train MAE always, and
         #: validation MAE when an eval_set is supplied.
         self.eval_history_: dict[str, list[float]] = {}
@@ -204,7 +212,6 @@ class GradientBoostedTrees:
         """
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
-        self._single_output_input = Y.ndim == 1
         if Y.ndim == 1:
             Y = Y[:, None]
         if X.ndim != 2 or Y.shape[0] != X.shape[0]:
@@ -220,8 +227,7 @@ class GradientBoostedTrees:
         self.base_score_ = Y.mean(axis=0)
         pred = np.tile(self.base_score_, (n, 1))
         self.trees_ = []
-        self._flat_cache = None
-        self._head_flat_cache = {}
+        self._flat_stacks = {}
         self.quantile_trees_ = {}
 
         val_pack = None
@@ -247,30 +253,23 @@ class GradientBoostedTrees:
             telemetry.histogram("boost.round_seconds")
             if telemetry.metrics_enabled() else None
         )
+        vector_leaves = self.multi_strategy == "multi_output_tree"
+        # One vector-leaf tree on every output's gradient, or one tree
+        # per output; each tree draws its column sample in that order.
+        targets = [slice(None)] if vector_leaves else range(k)
         for round_idx in range(self.n_estimators):
             round_t0 = time.perf_counter() if round_hist is not None else 0.0
             g, h = self._grad_hess(pred, Y)
             rows = self._sample_rows(rng, n)
-            round_trees: list[Tree] = []
-            if self.multi_strategy == "multi_output_tree":
-                cols = self._sample_cols(rng, f)
-                tree = grow_tree(
-                    Xb, g, h, self.params, self.n_bins,
-                    rows=rows, feature_subset=cols,
+            round_trees = [
+                grow_tree(
+                    Xb, g[:, out], h[:, out], self.params, self.n_bins,
+                    rows=rows, feature_subset=self._sample_cols(rng, f),
                     leaf_scale=self.learning_rate,
                 )
-                pred += tree.predict_binned(Xb)
-                round_trees.append(tree)
-            else:
-                for out in range(k):
-                    cols = self._sample_cols(rng, f)
-                    tree = grow_tree(
-                        Xb, g[:, out], h[:, out], self.params, self.n_bins,
-                        rows=rows, feature_subset=cols,
-                        leaf_scale=self.learning_rate,
-                    )
-                    pred[:, out] += tree.predict_binned(Xb)[:, 0]
-                    round_trees.append(tree)
+                for out in targets
+            ]
+            _add_round(pred, round_trees, Xb, vector_leaves)
             self.trees_.append(round_trees)
             self.eval_history_["train_mae"].append(
                 float(np.abs(pred - Y).mean())
@@ -280,11 +279,7 @@ class GradientBoostedTrees:
 
             if val_pack is not None:
                 Xvb, Yv, val_pred = val_pack
-                if self.multi_strategy == "multi_output_tree":
-                    val_pred += round_trees[0].predict_binned(Xvb)
-                else:
-                    for out, tree in enumerate(round_trees):
-                        val_pred[:, out] += tree.predict_binned(Xvb)[:, 0]
+                _add_round(val_pred, round_trees, Xvb, vector_leaves)
                 mae = float(np.abs(val_pred - Yv).mean())
                 self.eval_history_["val_mae"].append(mae)
                 if early_stopping_rounds is not None:
@@ -318,14 +313,14 @@ class GradientBoostedTrees:
             for _ in range(self.n_quantile_rounds):
                 g = np.where(Y > pred, -q, 1.0 - q)
                 h = np.ones_like(Y)
-                round_trees: list[Tree] = []
-                for out in range(Y.shape[1]):
-                    tree = grow_tree(
+                round_trees = [
+                    grow_tree(
                         Xb, g[:, out], h[:, out], self.quantile_params,
                         self.n_bins, leaf_scale=self.learning_rate,
                     )
-                    pred[:, out] += tree.predict_binned(Xb)[:, 0]
-                    round_trees.append(tree)
+                    for out in range(Y.shape[1])
+                ]
+                _add_round(pred, round_trees, Xb, vector_leaves=False)
                 rounds.append(round_trees)
             self.quantile_trees_[q] = (base, rounds)
 
@@ -380,14 +375,12 @@ class GradientBoostedTrees:
 
         Every tree is traversed in one flat vectorized pass
         (:class:`~repro.ml.tree.FlatEnsemble`); leaf contributions are
-        then accumulated tree by tree in the exact order of the
-        per-tree training loop, so results are bit-identical to it
-        (numpy reductions would use pairwise summation and drift in the
-        last ulp).  A vector-leaf round adds its one tree to every
-        output; otherwise tree ``out`` of a round adds to output
-        ``out`` (quantile heads are always per-output).  The native
-        kernel does the adds when it is available; the loop below is
-        its numpy fallback.
+        then accumulated tree by tree at the :func:`_tree_columns`
+        columns, in the exact order of the training loop's
+        :func:`_add_round`, so results are bit-identical to it (numpy
+        reductions would use pairwise summation and drift in the last
+        ulp).  The native kernel does the adds when it is available;
+        the loop below is its numpy fallback.
         """
         if head is None:
             base, rounds = self.base_score_, self.trees_
@@ -416,35 +409,10 @@ class GradientBoostedTrees:
             vector_leaves = self.multi_strategy == "multi_output_tree"
         else:
             rounds, vector_leaves = self.quantile_trees_[head][1], False
-        key = tuple(chain.from_iterable(rounds))
-        cached = (self._flat_cache if head is None
-                  else self._head_flat_cache.get(head))
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        if vector_leaves:
-            cols = np.zeros(len(key), dtype=np.int32)
-        else:
-            cols = np.concatenate([np.arange(len(round_trees), dtype=np.int32)
-                                   for round_trees in rounds])
-        stack = (FlatEnsemble(list(key)), cols)
-        if head is None:
-            self._flat_cache = (key, stack)
-        else:
-            self._head_flat_cache = {**self._head_flat_cache,
-                                     head: (key, stack)}
-        return stack
-
-    def __getstate__(self) -> dict:
-        # The flat cache is a pure derivation of trees_ and roughly
-        # doubles the pickled model size; persisting it would also leave
-        # a stale entry on every deserialized copy (the unpickled trees
-        # are new objects, so the key can never hit again).  Serve
-        # hot-swaps load models via pickle, so shipping the cache would
-        # leak one dead FlatEnsemble per swap.
-        state = self.__dict__.copy()
-        state["_flat_cache"] = None
-        state.pop("_head_flat_cache", None)
-        return state
+        return self._cached_stack(
+            head, chain.from_iterable(rounds),
+            lambda trees: (FlatEnsemble(trees),
+                           _tree_columns(rounds, vector_leaves)))
 
     # ------------------------------------------------------------------
     def feature_importances(self, kind: str = "gain") -> np.ndarray:
@@ -457,21 +425,8 @@ class GradientBoostedTrees:
         """
         if not self.trees_:
             raise RuntimeError("feature_importances called before fit")
-        if kind not in ("gain", "weight"):
-            raise ValueError(f"unknown importance kind {kind!r}")
-        total_gain = np.zeros(self.n_features_)
-        total_count = np.zeros(self.n_features_)
-        for round_trees in self.trees_:
-            for tree in round_trees:
-                total_gain += tree.feature_gains()
-                total_count += tree.feature_split_counts()
-        if kind == "weight":
-            raw = total_count
-        else:
-            with np.errstate(invalid="ignore"):
-                raw = np.where(total_count > 0, total_gain / np.maximum(total_count, 1), 0.0)
-        s = raw.sum()
-        return raw / s if s > 0 else raw
+        return average_gain_importances(chain.from_iterable(self.trees_),
+                                        self.n_features_, kind)
 
     @property
     def n_trees_(self) -> int:

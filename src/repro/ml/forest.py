@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import Binner, FlatEnsemble, Tree, TreeParams, grow_tree
+from repro.ml.tree import (
+    Binner,
+    FlatEnsemble,
+    FlatStackCache,
+    Tree,
+    TreeParams,
+    average_gain_importances,
+    grow_tree,
+)
 
 __all__ = ["DecisionTreeRegressor", "RandomForestRegressor"]
 
@@ -68,28 +76,19 @@ class DecisionTreeRegressor:
         return self.predict_binned(Xb)
 
     def predict_binned(self, Xb: np.ndarray) -> np.ndarray:
-        """Predict from pre-binned features (skips ``binner_.transform``).
-
-        Routes through the same flat kernel as the ensembles; a
-        one-tree stack is cheap enough to build per call.
-        """
+        """Predict from pre-binned features (skips ``binner_.transform``)."""
         if self.tree_ is None:
             raise RuntimeError("predict called before fit")
-        flat = FlatEnsemble([self.tree_])
-        return flat.values[flat.predict_leaves(np.asarray(Xb))[0]]
+        return self.tree_.predict_binned(np.asarray(Xb))
 
     def feature_importances(self) -> np.ndarray:
         """Average-gain importances (normalized to sum to 1)."""
         if self.tree_ is None:
             raise RuntimeError("feature_importances called before fit")
-        gains = self.tree_.feature_gains()
-        counts = self.tree_.feature_split_counts()
-        raw = np.where(counts > 0, gains / np.maximum(counts, 1), 0.0)
-        s = raw.sum()
-        return raw / s if s > 0 else raw
+        return average_gain_importances([self.tree_], self.n_features_)
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(FlatStackCache):
     """Bagged ensemble of multi-output CART trees.
 
     Parameters
@@ -137,11 +136,6 @@ class RandomForestRegressor:
         self.trees_: list[Tree] = []
         self.n_features_ = 0
         self.n_outputs_ = 0
-        # Lazily-built flat stacked ensemble, keyed by strong references
-        # to the trees themselves so replacing trees_ (e.g.
-        # deserialization, a serve hot-swap) always invalidates it —
-        # an id-based key could false-hit on recycled ids.
-        self._flat_cache: tuple[tuple[Tree, ...], FlatEnsemble] | None = None
 
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -159,7 +153,7 @@ class RandomForestRegressor:
         G = -Y
         H = np.ones_like(Y)
         self.trees_ = []
-        self._flat_cache = None
+        self._flat_stacks = {}
         for _ in range(self.n_estimators):
             rows = rng.integers(0, n, size=n) if self.bootstrap else None
             cols = None
@@ -197,34 +191,13 @@ class RandomForestRegressor:
         """
         if not self.trees_:
             raise RuntimeError("predict called before fit")
-        key = tuple(self.trees_)
-        cached = self._flat_cache
-        if cached is not None and cached[0] == key:
-            flat = cached[1]
-        else:
-            flat = FlatEnsemble(self.trees_)
-            self._flat_cache = (key, flat)
+        flat = self._cached_stack(None, self.trees_, FlatEnsemble)
         per_tree = flat.values[flat.predict_leaves(np.asarray(Xb))]
         mean = per_tree.mean(axis=0)
         return (mean, per_tree.std(axis=0)) if uncertainty else mean
-
-    def __getstate__(self) -> dict:
-        # Never pickle the derived flat cache: a deserialized copy's
-        # trees are new objects so the entry could only sit stale (see
-        # GradientBoostedTrees.__getstate__).
-        state = self.__dict__.copy()
-        state["_flat_cache"] = None
-        return state
 
     def feature_importances(self) -> np.ndarray:
         """Average-gain importances over all trees (normalized)."""
         if not self.trees_:
             raise RuntimeError("feature_importances called before fit")
-        gains = np.zeros(self.n_features_)
-        counts = np.zeros(self.n_features_)
-        for tree in self.trees_:
-            gains += tree.feature_gains()
-            counts += tree.feature_split_counts()
-        raw = np.where(counts > 0, gains / np.maximum(counts, 1), 0.0)
-        s = raw.sum()
-        return raw / s if s > 0 else raw
+        return average_gain_importances(self.trees_, self.n_features_)

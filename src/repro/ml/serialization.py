@@ -86,6 +86,14 @@ def _tree_from_dict(data: dict) -> Tree:
                 n_features=data["n_features"])
 
 
+def _rounds_to_list(rounds: list[list[Tree]]) -> list:
+    return [[_tree_to_dict(t) for t in round_trees] for round_trees in rounds]
+
+
+def _rounds_from_list(data: list) -> list[list[Tree]]:
+    return [[_tree_from_dict(t) for t in round_trees] for round_trees in data]
+
+
 def _binner_to_dict(binner: Binner) -> dict:
     assert binner.edges_ is not None
     return {
@@ -118,7 +126,7 @@ def _encode_model(model) -> dict:
     if isinstance(model, GradientBoostedTrees):
         if model.binner_ is None:
             raise ValueError("cannot serialize an unfitted model")
-        return {
+        payload = {
             "kind": "gbt",
             "params": {
                 "n_estimators": model.n_estimators,
@@ -131,11 +139,17 @@ def _encode_model(model) -> dict:
             "n_features": model.n_features_,
             "n_outputs": model.n_outputs_,
             "binner": _binner_to_dict(model.binner_),
-            "rounds": [
-                [_tree_to_dict(t) for t in round_trees]
-                for round_trees in model.trees_
-            ],
+            "rounds": _rounds_to_list(model.trees_),
         }
+        # Only a model with heads carries the key: a payload without it
+        # is unchanged from older writers and loads without heads.
+        if model.quantile_trees_:
+            payload["quantile_heads"] = [
+                {"level": level, "base_score": [float(v) for v in base],
+                 "rounds": _rounds_to_list(rounds)}
+                for level, (base, rounds) in model.quantile_trees_.items()
+            ]
+        return payload
     if isinstance(model, RandomForestRegressor):
         if model.binner_ is None:
             raise ValueError("cannot serialize an unfitted model")
@@ -208,21 +222,25 @@ def model_from_dict(data: dict):
 def _decode_model(data: dict):
     kind = data.get("kind")
     if kind == "gbt":
+        heads = data.get("quantile_heads") or []
         model = GradientBoostedTrees(
             n_estimators=data["params"]["n_estimators"],
             learning_rate=data["params"]["learning_rate"],
             n_bins=data["params"]["n_bins"],
             objective=data["params"]["objective"],
             multi_strategy=data["params"]["multi_strategy"],
+            quantile_heads=tuple(h["level"] for h in heads) or None,
         )
         model.base_score_ = np.array(data["base_score"], dtype=np.float64)
         model.n_features_ = data["n_features"]
         model.n_outputs_ = data["n_outputs"]
         model.binner_ = _binner_from_dict(data["binner"])
-        model.trees_ = [
-            [_tree_from_dict(t) for t in round_trees]
-            for round_trees in data["rounds"]
-        ]
+        model.trees_ = _rounds_from_list(data["rounds"])
+        model.quantile_trees_ = {
+            h["level"]: (np.array(h["base_score"], dtype=np.float64),
+                         _rounds_from_list(h["rounds"]))
+            for h in heads
+        }
         return model
     if kind == "forest":
         model = RandomForestRegressor(n_estimators=max(1, len(data["trees"])))

@@ -23,6 +23,10 @@ Everything is vectorized: histograms are built with ``np.bincount`` per
 feature and split scores for all (feature, bin) pairs are evaluated with
 cumulative sums, so tree growth is O(features * bins) per node plus one
 O(n) partition.
+
+Prediction has one router, :class:`FlatEnsemble` (the native
+``route_leaves`` kernel or its numpy fallback): a lone tree routes as a
+one-tree stack.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import numpy as np
 from repro import native
 from repro.errors import PackingError
 
-__all__ = ["TreeParams", "Binner", "Tree", "FlatEnsemble", "grow_tree"]
+__all__ = ["TreeParams", "Binner", "Tree", "FlatEnsemble", "FlatStackCache",
+           "average_gain_importances", "grow_tree"]
 
 _MAX_BINS = 256  # bins are stored in uint8
 
@@ -131,14 +136,6 @@ class Binner:
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def bin_upper_value(self, feature: int, bin_idx: int) -> float:
-        """Numeric threshold for "go left iff value in bins <= bin_idx"."""
-        assert self.edges_ is not None
-        edges = self.edges_[feature]
-        if bin_idx < len(edges):
-            return float(edges[bin_idx])
-        return np.inf
-
 
 @dataclass
 class _Node:
@@ -212,24 +209,10 @@ class Tree:
         return self._max_depth_reached
 
     def predict_binned(self, Xb: np.ndarray) -> np.ndarray:
-        """Predict from pre-binned uint8 features; returns ``(n, k)``."""
-        n = Xb.shape[0]
-        node_idx = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        # Vectorized routing: every iteration pushes all still-internal rows
-        # one level down; terminates after at most max_depth iterations.
-        while active.size:
-            feats = self._feat[node_idx[active]]
-            internal = feats >= 0
-            active = active[internal]
-            if not active.size:
-                break
-            idx = node_idx[active]
-            go_left = Xb[active, self._feat[idx]] <= self._thr[idx]
-            node_idx[active] = np.where(
-                go_left, self._left[idx], self._right[idx]
-            )
-        return self._values[node_idx]
+        """Predict from pre-binned uint8 features; returns ``(n, k)``,
+        routed as a one-tree :class:`FlatEnsemble`."""
+        flat = FlatEnsemble([self])
+        return flat.values[flat.predict_leaves(Xb)[0]]
 
     # ``bincount`` adds its weights one node at a time in node order, so
     # these sums are bit-identical to a per-node loop.
@@ -260,6 +243,10 @@ class FlatEnsemble:
     order preserves their exact float semantics (see
     ``GradientBoostedTrees.predict_binned``).  Rows are processed in
     chunks so peak memory stays bounded for any ensemble size.
+
+    This is the package's only tree router: ``Tree.predict_binned`` is
+    a one-tree stack.  The frozen per-tree traversal it replaced is the
+    exactness oracle in ``tests/tree_reference.py``.
     """
 
     def __init__(self, trees: list[Tree]):
@@ -308,8 +295,8 @@ class FlatEnsemble:
         #: Deepest tree in the stack — the number of routing levels.
         self.max_depth = max(t.max_depth_reached for t in trees)
         #: ``(total_nodes, n_outputs)`` leaf/internal values; indexing
-        #: with :meth:`predict_leaves` output gives per-tree predictions
-        #: bit-identical to ``Tree.predict_binned``.
+        #: with :meth:`predict_leaves` output gives each tree's own
+        #: prediction.
         self.values = np.concatenate([t._values for t in trees], axis=0)
 
     def predict_leaves(self, Xb: np.ndarray) -> np.ndarray:
@@ -355,6 +342,57 @@ class FlatEnsemble:
                 node = children[(node << 1) + go_left]
             out[:, lo:hi] = node.reshape(T, c)
         return out
+
+
+class FlatStackCache:
+    """Lazily built flat stacks of a tree model, keyed by head.
+
+    ``_flat_stacks`` maps a head (``None`` for a forest or the main
+    boosted ensemble, else a quantile level) to ``(trees, stack)``.
+    The key holds the tree objects themselves, so replacing trees
+    (deserialization, early stopping, a serve hot-swap) always misses,
+    where an id-based key could false-hit on a recycled id.  The
+    class-level empty dict serves unfitted models, unpickled copies and
+    older pickles; it is replaced, never mutated in place.
+    """
+
+    _flat_stacks: dict = {}
+
+    def _cached_stack(self, head, trees, build):
+        """``build(trees)``, cached under *head* while the trees last."""
+        key = tuple(trees)
+        cached = self._flat_stacks.get(head)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        stack = build(key)
+        self._flat_stacks = {**self._flat_stacks, head: (key, stack)}
+        return stack
+
+    def __getstate__(self) -> dict:
+        # The stacks derive from the trees and roughly double a pickle;
+        # an unpickled copy's trees are new objects, so a shipped entry
+        # could never hit and a serve hot-swap would leak one per load.
+        state = self.__dict__.copy()
+        state.pop("_flat_stacks", None)
+        return state
+
+
+def average_gain_importances(trees, n_features: int,
+                             kind: str = "gain") -> np.ndarray:
+    """Per-feature importances over *trees*, normalized to sum to 1:
+    the average split gain (``kind="gain"``, the paper's definition) or
+    the split count (``"weight"``), summed tree by tree in order."""
+    if kind not in ("gain", "weight"):
+        raise ValueError(f"unknown importance kind {kind!r}")
+    gains = np.zeros(n_features)
+    counts = np.zeros(n_features)
+    for tree in trees:
+        gains += tree.feature_gains()
+        counts += tree.feature_split_counts()
+    raw = counts if kind == "weight" else np.where(
+        counts > 0, gains / np.maximum(counts, 1), 0.0)
+    s = raw.sum()
+    return raw / s if s > 0 else raw
 
 
 def grow_tree(

@@ -272,7 +272,6 @@ class ResilientPredictor:
             if len(row_at):
                 rows = np.array([items[i] for i in row_at], dtype=np.float64)
                 X[row_at] = rows
-                taint[row_at] = ~np.isfinite(rows)
                 on_model[row_at] = True
             pending = []
             for i in rec_at:
@@ -294,9 +293,12 @@ class ResilientPredictor:
                     if bad:
                         tainted = set().union(
                             *(FIELD_FEEDS[name] for name in bad))
-                        taint[i] = ~np.isfinite(X[i]) | np.array(
-                            [column in tainted for column in columns])
+                        taint[i] = [column in tainted for column in columns]
                         repaired[i] = tuple(sorted(bad))
+            # One check over every row the model would take: a NaN/inf
+            # feature row, and a clean record whose derived features
+            # overflow (a ratio over a tiny total), are imputed too.
+            taint[on_model] |= ~np.isfinite(X[on_model])
             dirty = taint.any(axis=1)
             if fill is None:
                 on_model &= ~dirty

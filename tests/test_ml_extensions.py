@@ -101,6 +101,36 @@ class TestSerialization:
         restored = model_from_dict(model_to_dict(model))
         np.testing.assert_array_equal(restored.predict(X), model.predict(X))
 
+    @pytest.mark.parametrize("strategy", ["per_output", "multi_output_tree"])
+    def test_quantile_heads_survive_roundtrip(self, strategy):
+        import json
+        X, Y = _data()
+        model = GradientBoostedTrees(
+            n_estimators=6, max_depth=3, multi_strategy=strategy,
+            quantile_heads=(0.25, 0.75), n_quantile_rounds=5,
+            random_state=0).fit(X, Y)
+        restored = model_from_dict(json.loads(json.dumps(
+            model_to_dict(model))))
+        assert restored.has_uncertainty
+        assert restored.quantile_heads == model.quantile_heads
+        for got, want in zip(restored.predict(X, uncertainty=True),
+                             model.predict(X, uncertainty=True)):
+            assert np.array_equal(got, want)
+
+    def test_payload_without_heads_loads_without_heads(self):
+        X, Y = _data()
+        model = GradientBoostedTrees(
+            n_estimators=4, quantile_heads=(0.25, 0.75),
+            n_quantile_rounds=3, random_state=0).fit(X, Y)
+        payload = model_to_dict(model)
+        del payload["quantile_heads"]  # as written before heads were saved
+        for version in (1, 2):
+            restored = model_from_dict({**payload, "format_version": version})
+            assert not restored.has_uncertainty
+            assert np.array_equal(restored.predict(X), model.predict(X))
+        plain = GradientBoostedTrees(n_estimators=4, random_state=0).fit(X, Y)
+        assert "quantile_heads" not in model_to_dict(plain)
+
     def test_save_load_file(self, tmp_path):
         X, Y = _data()
         model = GradientBoostedTrees(n_estimators=5, random_state=0).fit(X, Y)

@@ -4,8 +4,11 @@
 one struct-of-arrays and routes all (tree, row) states level by level.
 Because routing decisions are integer bin comparisons and leaf values
 are gathered (not recomputed), the result must be *bit-identical* —
-``np.array_equal``, not ``allclose`` — to running each tree's own
-``predict_binned`` and combining in the original accumulation order.
+``np.array_equal``, not ``allclose`` — to walking each tree with the
+frozen per-tree router in ``tests/tree_reference.py`` and combining in
+the original accumulation order.  ``Tree.predict_binned`` itself routes
+through a one-tree ``FlatEnsemble``, so it is checked against that
+oracle too, never used as one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.serialization import model_from_dict, model_to_dict
 from repro.ml.tree import FlatEnsemble, Tree, _Node
+
+from .tree_reference import reference_predict_binned
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +67,15 @@ def _edge_batches(binner):
 
 
 def _gbt_reference_predict(gbt, Xb):
-    """The pre-optimization per-tree accumulation, reproduced inline."""
+    """The pre-optimization per-tree accumulation, reproduced inline
+    over the frozen per-tree router."""
     pred = np.tile(gbt.base_score_, (Xb.shape[0], 1))
     for round_trees in gbt.trees_:
         if len(round_trees) == 1 and gbt.multi_strategy == "multi_output_tree":
-            pred += round_trees[0].predict_binned(Xb)
+            pred += reference_predict_binned(round_trees[0], Xb)
         else:
             for out, tree in enumerate(round_trees):
-                pred[:, out] += tree.predict_binned(Xb)[:, 0]
+                pred[:, out] += reference_predict_binned(tree, Xb)[:, 0]
     return pred
 
 
@@ -84,8 +90,9 @@ class TestFlatEnsemble:
         assert leaves.shape == (len(rf.trees_), X.shape[0])
         # Gathered values == each tree's own traversal, bit for bit.
         for ti, tree in enumerate(rf.trees_):
-            assert np.array_equal(flat.values[leaves[ti]],
-                                  tree.predict_binned(Xb))
+            want = reference_predict_binned(tree, Xb)
+            assert np.array_equal(flat.values[leaves[ti]], want)
+            assert np.array_equal(tree.predict_binned(Xb), want)
 
     def test_single_node_trees(self, data):
         X, Y = data
@@ -117,7 +124,8 @@ class TestForestFlatPredict:
         rf = RandomForestRegressor(n_estimators=15, max_depth=8,
                                    random_state=3).fit(X, Y)
         Xb = rf.binner_.transform(X)
-        stacked = np.stack([t.predict_binned(Xb) for t in rf.trees_])
+        stacked = np.stack([reference_predict_binned(t, Xb)
+                            for t in rf.trees_])
         for mean, std in (rf.predict_binned(Xb, uncertainty=True),
                           rf.predict(X, uncertainty=True)):
             assert np.array_equal(mean, stacked.mean(axis=0))
@@ -129,12 +137,13 @@ class TestForestFlatPredict:
         rf = RandomForestRegressor(n_estimators=6, max_depth=5,
                                    random_state=4).fit(X, Y)
         first = rf.predict(X)
-        assert rf._flat_cache is not None
+        assert rf._flat_stacks[None] is not None
         # Truncating the ensemble must invalidate the cached stack.
         rf.trees_ = rf.trees_[:2]
         truncated = rf.predict(X)
         expected = np.stack(
-            [t.predict_binned(rf.binner_.transform(X)) for t in rf.trees_]
+            [reference_predict_binned(t, rf.binner_.transform(X))
+             for t in rf.trees_]
         ).mean(axis=0)
         assert np.array_equal(truncated, expected)
         assert not np.array_equal(first, truncated)
@@ -144,6 +153,8 @@ class TestForestFlatPredict:
         dt = DecisionTreeRegressor(max_depth=6).fit(X, Y)
         Xb = dt.binner_.transform(X)
         assert np.array_equal(dt.predict_binned(Xb), dt.predict(X))
+        assert np.array_equal(dt.predict_binned(Xb),
+                              reference_predict_binned(dt.tree_, Xb))
 
 
 class TestBoostingFlatPredict:
@@ -193,7 +204,7 @@ def _quantile_reference_predict(gbt, q, Xb):
     pred = np.tile(base, (Xb.shape[0], 1))
     for round_trees in rounds:
         for out, tree in enumerate(round_trees):
-            pred[:, out] += tree.predict_binned(Xb)[:, 0]
+            pred[:, out] += reference_predict_binned(tree, Xb)[:, 0]
     return pred
 
 
@@ -227,7 +238,8 @@ class TestQuantileHeadsFlatPredict:
         X, _ = data
         expected = headed.predict(X, uncertainty=True)
         clone = pickle.loads(pickle.dumps(headed))
-        assert "_head_flat_cache" not in clone.__dict__
+        assert headed._flat_stacks  # warmed before the roundtrip
+        assert "_flat_stacks" not in clone.__dict__
         for got, want in zip(clone.predict(X, uncertainty=True), expected):
             assert np.array_equal(got, want)
 
@@ -303,8 +315,13 @@ def test_route_leaves_adversarial_trees(case):
         assert np.array_equal(flat.predict_leaves(Xb), leaves)
     # Node values are ensemble-wide node ids: equal values, equal leaves.
     for t, tree in enumerate(trees):
-        assert np.array_equal(flat.values[leaves[t]],
-                              tree.predict_binned(Xb))
+        want = reference_predict_binned(tree, Xb)
+        assert np.array_equal(flat.values[leaves[t]], want)
+        # A lone tree routes through its own one-tree stack: same leaves
+        # on the native kernel and on the numpy fallback.
+        for kind in ("default", "numpy"):
+            with _kernel(kind):
+                assert np.array_equal(tree.predict_binned(Xb), want), kind
 
 
 @given(st.data())

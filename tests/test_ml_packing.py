@@ -147,29 +147,29 @@ def test_flat_cache_reused_and_invalidated_on_refit():
     Xb = gbt.binner_.transform(X)
 
     gbt.predict_binned(Xb)
-    first = gbt._flat_cache
+    first = gbt._flat_stacks[None]
     assert first is not None
     gbt.predict_binned(Xb)
-    assert gbt._flat_cache is first  # same trees -> same ensemble
+    assert gbt._flat_stacks[None] is first  # same trees -> same ensemble
 
     Y2 = rng.normal(size=(X.shape[0], 2))
     gbt.fit(X, Y2)
-    assert gbt._flat_cache is None  # refit evicts, no stale traversal
+    assert None not in gbt._flat_stacks  # refit evicts, no stale traversal
     gbt.predict_binned(gbt.binner_.transform(X))
-    assert gbt._flat_cache is not first
+    assert gbt._flat_stacks[None] is not first
 
 
 def test_flat_cache_dropped_by_pickle():
     gbt, X = _fit_gbt(6)
     Xb = gbt.binner_.transform(X)
     expected = gbt.predict_binned(Xb)
-    assert gbt._flat_cache is not None  # warmed before the roundtrip
+    assert gbt._flat_stacks[None] is not None  # warmed before the roundtrip
 
     clone = pickle.loads(pickle.dumps(gbt))
     # The warmed cache must not ride along: unpickled trees are new
     # objects, so a carried entry could never hit and would only leak
     # (one dead FlatEnsemble per serve hot-swap).
-    assert clone._flat_cache is None
+    assert "_flat_stacks" not in clone.__dict__
     assert np.array_equal(clone.predict_binned(Xb), expected)
 
 
@@ -183,8 +183,8 @@ def test_forest_flat_cache_dropped_by_pickle():
                                random_state=7).fit(X, Y)
     Xb = rf.binner_.transform(X)
     expected = rf.predict_binned(Xb)
-    assert rf._flat_cache is not None
+    assert rf._flat_stacks[None] is not None
 
     clone = pickle.loads(pickle.dumps(rf))
-    assert clone._flat_cache is None
+    assert "_flat_stacks" not in clone.__dict__
     assert np.array_equal(clone.predict_binned(Xb), expected)

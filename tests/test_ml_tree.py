@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.boosting import GradientBoostedTrees
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.ml.serialization import model_to_dict
 from repro.ml.tree import Binner, Tree, TreeParams, _Node, grow_tree
+
+from . import tree_reference as reference
 
 
 class TestBinner:
@@ -247,9 +249,22 @@ class TestArrayOnlyTree:
                 assert np.array_equal(
                     model.feature_importances(kind),
                     _per_node_importances(trees, model.n_features_, kind))
+                # The shared formula against each model's own old loop.
+                assert np.array_equal(
+                    model.feature_importances(kind),
+                    reference.reference_gbt_importances(model, kind))
         assert np.array_equal(rf.feature_importances(),
                               _per_node_importances(rf.trees_,
                                                     rf.n_features_))
+        assert np.array_equal(rf.feature_importances(),
+                              reference.reference_forest_importances(rf))
+        X, Y = _fixed_fit_data()
+        dt = DecisionTreeRegressor(max_depth=5).fit(X, Y)
+        assert np.array_equal(dt.feature_importances(),
+                              reference.reference_tree_importances(dt))
+        assert np.array_equal(dt.feature_importances(),
+                              _per_node_importances([dt.tree_],
+                                                    dt.n_features_))
 
     def test_model_to_dict_unchanged(self):
         # SHA-256 of the JSON written while trees kept their node list.

@@ -498,6 +498,26 @@ class TestResilientPredictor:
         assert out.tier == "imputed"
         assert "machine" in out.repaired
 
+    def test_overflowing_features_imputed_batch_mate_exact(
+            self, chain, trained_xgb, small_dataset):
+        # Every counter is finite, but the ratios over a tiny total
+        # overflow to inf: the record must not reach the model as is.
+        tiny = {**_clean_record(), "total_instructions": 1e-300}
+        clean = chain.predict_record_detailed(_clean_record())
+        with np.errstate(over="ignore"):
+            out = chain.predict_batch([tiny, _clean_record()])
+        assert [o.tier for o in out] == ["imputed", "model"]
+        assert out[0].repaired == ()
+        assert np.isfinite(out[0].rpv).all()
+        assert np.array_equal(out[1].rpv, clean.rpv)
+        # Without a feature fill the record drops to the model-free tier.
+        bare = ResilientPredictor(predictor=trained_xgb,
+                                  mean_rpv=small_dataset.Y().mean(axis=0))
+        with np.errstate(over="ignore"):
+            out = bare.predict_batch([tiny, _clean_record()])
+        assert [o.tier for o in out] == ["mean_rpv", "model"]
+        assert np.array_equal(out[1].rpv, clean.rpv)
+
     def test_mean_rpv_without_model(self, small_dataset):
         chain = ResilientPredictor(mean_rpv=small_dataset.Y().mean(axis=0))
         out = chain.predict_record_detailed(_clean_record())
