@@ -5,6 +5,7 @@ layering regression fails the ordinary test run too.
 """
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +109,49 @@ def test_tool_detects_an_engine_importing_the_frozen_oracle(
                and "repro.telemetry.flightrec" in p
                and "only repro.telemetry may import" in p
                for p in problems)
+
+
+def test_tool_detects_a_planted_scipy_import(tmp_path, monkeypatch):
+    # numpy is the only runtime dependency: a SciPy import anywhere
+    # under src, even a lazy one inside a function, is refused.
+    tool = _load_tool()
+    ml = tmp_path / "src" / "repro" / "ml"
+    ml.mkdir(parents=True)
+    (ml / "__init__.py").write_text("import numpy as np\n")
+    (ml / "neighbors.py").write_text(
+        "from scipy.spatial import cKDTree\n"
+    )
+    (ml / "linear.py").write_text(
+        "def solve(a, b):\n"
+        "    import scipy.linalg\n"
+        "    return scipy.linalg.solve(a, b)\n"
+    )
+    (ml / "metrics.py").write_text("from scipy import stats\n")
+    monkeypatch.setattr(tool, "SRC", tmp_path / "src")
+    problems = tool.violations()
+    assert len(problems) == 3
+    for module, line in (("neighbors", 1), ("linear", 2), ("metrics", 1)):
+        assert any(p.startswith(f"repro.ml.{module} (line {line}) ")
+                   and "no repro module may import scipy" in p
+                   for p in problems)
+
+
+def test_cli_and_serve_import_nothing_but_numpy():
+    # Every process start pays for the import path, so the CLI and the
+    # service load no third-party package except numpy.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.cli, repro.serve\n"
+        "main = sys.modules['__main__']\n"
+        "new = {name.partition('.')[0] for name, module in "
+        "sys.modules.items() if name not in before and module is not main}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "repro"]

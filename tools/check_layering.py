@@ -44,6 +44,9 @@ every other layer can depend on them without cycles:
   be imported by no module under ``src`` (reverse check below): an
   oracle helper shared with the engine would let the suite compare the
   engine with itself, and the shipped package must not need its tests.
+* ``scipy`` may be imported by no module under ``src``, not even lazily:
+  numpy is the package's only runtime dependency, and every process
+  that imports ``repro`` pays for what the import path loads.
 
 This script walks each module's AST (no imports are executed, so it is
 safe to run on a broken tree) and fails with one line per violation.
@@ -267,6 +270,10 @@ RESTRICTED_IMPORTERS = {
 }
 
 
+#: Third-party packages no module under SRC may import.
+FORBIDDEN_PACKAGES = ("scipy",)
+
+
 def _all_modules() -> list[str]:
     """Every repro module under SRC, as dotted names."""
     modules = []
@@ -307,6 +314,12 @@ def violations() -> list[str]:
             problems.append(
                 f"{module} (line {lineno}) imports {imported}, which "
                 f"{who} may import"
+            )
+        for lineno, imported in repro_imports(module,
+                                              roots=FORBIDDEN_PACKAGES):
+            problems.append(
+                f"{module} (line {lineno}) imports {imported}; no repro "
+                f"module may import {imported.split('.')[0]}"
             )
     return problems
 
