@@ -1,14 +1,18 @@
 """Microbenchmark: the perf-campaign hot paths, gated by speedup ratios.
 
 Covers the two inference optimizations the self-profiler (``repro perf``)
-pointed at, each verified for exactness before any throughput claim:
+pointed at and the training one, each verified for exactness before any
+throughput claim:
 
 * **native tree routing** — the compiled ``route_leaves`` kernel vs the
   numpy fallback inside ``FlatEnsemble.predict_leaves`` (bit-identical
   leaves, then the speedup ratio);
 * **uint8 packed predict** — ``CrossArchPredictor.predict_packed`` on a
   pre-packed matrix vs ``predict`` re-binning floats every call
-  (bit-identical predictions).
+  (bit-identical predictions);
+* **native tree growth** — a production-shaped boosted fit (depth-9,
+  4-output trees) with the compiled ``grow_tree`` kernel vs the numpy
+  fallback (equal ``model_to_dict``, then the speedup ratio).
 
 Ratios land in ``benchmarks/BENCH_hotpath.json``.  Like
 ``BENCH_sched.json``, the committed file is read before being
@@ -29,6 +33,7 @@ from repro import native
 from repro.core.predictor import CrossArchPredictor
 from repro.dataset.generate import generate_dataset
 from repro.ml.boosting import GradientBoostedTrees
+from repro.ml.serialization import model_to_dict
 
 BENCH_PATH = Path(__file__).parent / "BENCH_hotpath.json"
 
@@ -36,7 +41,8 @@ BENCH_PATH = Path(__file__).parent / "BENCH_hotpath.json"
 REGRESSION_FACTOR = 2.0
 #: Ratio keys the gate checks (section, key).
 GATED = (("native_routing", "speedup_vs_numpy"),
-         ("packed_predict", "speedup_vs_unpacked"))
+         ("packed_predict", "speedup_vs_unpacked"),
+         ("native_grow", "speedup_vs_numpy"))
 
 
 def _baseline() -> dict:
@@ -111,12 +117,44 @@ def test_perf_hotpath():
         "speedup_vs_unpacked": round(t_float / t_packed, 2),
     }
 
+    # --- native grow kernel vs numpy fallback --------------------------
+    X = rng.normal(size=(2880, 30))
+    Y = np.column_stack([X[:, :4].sum(axis=1), np.sin(X[:, 4]),
+                         X[:, 5] * X[:, 6], rng.normal(size=2880)])
+
+    def fit():
+        t0 = time.perf_counter()
+        model = GradientBoostedTrees(
+            n_estimators=10, max_depth=9, learning_rate=0.07,
+            multi_strategy="multi_output_tree", random_state=0,
+        ).fit(X, Y)
+        return model, time.perf_counter() - t0
+
+    fit()  # warm
+    fast, t_fast = fit()
+    native._state = (None, "disabled for fallback timing")
+    try:
+        slow, t_numpy = fit()
+    finally:
+        native._state = saved_state
+    assert model_to_dict(fast) == model_to_dict(slow), (
+        "native kernel grows different trees than the numpy path")
+    results["native_grow"] = {
+        "available": native.available(),
+        "n_rows": X.shape[0],
+        "n_trees": len(fast.trees_),
+        "n_nodes": sum(t.n_nodes for r in fast.trees_ for t in r),
+        "wall_s_native": round(t_fast, 4),
+        "wall_s_numpy": round(t_numpy, 4),
+        "speedup_vs_numpy": round(t_numpy / t_fast, 2),
+    }
+
     # --- record + ratio gates ------------------------------------------
     baseline = _baseline()
     BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     for section, key in GATED:
-        if section == "native_routing" and not results[section]["available"]:
+        if not results[section].get("available", True):
             continue  # no compiler on this host: the ratio is meaningless
         committed = baseline.get(section, {}).get(key)
         if committed is None:

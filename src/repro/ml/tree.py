@@ -19,10 +19,14 @@ case ``g = -y, h = 1, lambda = 0``: the leaf weight ``-G/(H+lambda)``
 becomes the group mean and the gain becomes the between-group sum of
 squares, i.e. classic variance reduction.
 
-Everything is vectorized: histograms are built with ``np.bincount`` per
-feature and split scores for all (feature, bin) pairs are evaluated with
-cumulative sums, so tree growth is O(features * bins) per node plus one
-O(n) partition.
+Growth is histogram-based: each node's per-(feature, bin) gradient and
+hessian sums give the split scores of every (feature, bin) pair through
+cumulative sums, so a node costs O(features * bins) plus one O(n)
+partition, and only the smaller child of a split builds its histogram
+(the larger one's is the parent's minus it).  A whole tree grows in one
+call of the native ``grow_tree`` kernel (:mod:`repro.native`); without
+it (``REPRO_NATIVE=0``, no C compiler) the same steps run as a numpy
+loop with ``np.bincount`` histograms.  Both grow bit-identical trees.
 
 Prediction has one router, :class:`FlatEnsemble` (the native
 ``route_leaves`` kernel or its numpy fallback): a lone tree routes as a
@@ -161,21 +165,9 @@ class Tree:
     """
 
     def __init__(self, nodes: list[_Node], n_outputs: int, n_features: int):
-        self.n_outputs = n_outputs
-        self.n_features = n_features
-        self._feat = np.array([n.feature for n in nodes], dtype=np.int64)
-        self._thr = np.array([n.bin_threshold for n in nodes], dtype=np.int64)
-        self._left = np.array([n.left for n in nodes], dtype=np.int64)
-        self._right = np.array([n.right for n in nodes], dtype=np.int64)
-        self._values = np.array([n.value for n in nodes], dtype=np.float64)
-        if self._values.ndim == 1:
-            self._values = self._values[:, None]
-        self._gain = np.array([n.gain for n in nodes], dtype=np.float64)
-        self._n_samples = np.array([n.n_samples for n in nodes],
-                                   dtype=np.int64)
-        # Node statistics are immutable once grown; cache them at
-        # construction instead of recomputing O(n_nodes) per access.
-        self._n_leaves = int(np.count_nonzero(self._feat < 0))
+        values = np.array([n.value for n in nodes], dtype=np.float64)
+        if values.ndim == 1:
+            values = values[:, None]
         depth = np.zeros(len(nodes), dtype=np.int64)
         best = 0
         for i, node in enumerate(nodes):
@@ -184,7 +176,41 @@ class Tree:
                 depth[node.left] = depth[node.right] = d
                 if d > best:
                     best = d
-        self._max_depth_reached = int(best)
+        self._set_arrays(
+            n_outputs, n_features,
+            np.array([n.feature for n in nodes], dtype=np.int64),
+            np.array([n.bin_threshold for n in nodes], dtype=np.int64),
+            np.array([n.left for n in nodes], dtype=np.int64),
+            np.array([n.right for n in nodes], dtype=np.int64),
+            values,
+            np.array([n.gain for n in nodes], dtype=np.float64),
+            np.array([n.n_samples for n in nodes], dtype=np.int64),
+            int(best),
+        )
+
+    @classmethod
+    def _from_arrays(cls, n_outputs: int, n_features: int, *arrays) -> "Tree":
+        """A tree straight from its per-node arrays, in
+        :meth:`_set_arrays` order (the native grower's output)."""
+        tree = cls.__new__(cls)
+        tree._set_arrays(n_outputs, n_features, *arrays)
+        return tree
+
+    def _set_arrays(self, n_outputs, n_features, feat, thr, left, right,
+                    values, gain, n_samples, max_depth_reached) -> None:
+        self.n_outputs = n_outputs
+        self.n_features = n_features
+        self._feat = feat
+        self._thr = thr
+        self._left = left
+        self._right = right
+        self._values = values
+        self._gain = gain
+        self._n_samples = n_samples
+        # Node statistics are immutable once grown; cache them at
+        # construction instead of recomputing O(n_nodes) per access.
+        self._n_leaves = int(np.count_nonzero(feat < 0))
+        self._max_depth_reached = max_depth_reached
 
     def __setstate__(self, state: dict) -> None:
         # Pickles written while trees still kept their node list carry
@@ -426,6 +452,9 @@ def grow_tree(
     leaf_scale:
         Multiplier applied to leaf weights (the boosting learning rate is
         folded in here so prediction needs no extra pass).
+
+    The tree grows in one call of the native kernel when it is
+    available, else in the numpy loop below; the trees are identical.
     """
     Xb = np.ascontiguousarray(Xb)
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
@@ -445,6 +474,21 @@ def grow_tree(
         if feature_subset is None
         else np.asarray(feature_subset, dtype=np.int64)
     )
+    rows = np.asarray(rows)
+    # The kernel takes the inputs on which the loop below neither raises
+    # nor wraps an index; on any other input, or without the kernel, the
+    # loop runs and behaves as it always has.
+    if (Xb.dtype == np.uint8 and n_bins >= 2 and k >= 1
+            and rows.ndim == 1 and rows.dtype.kind in "iu"
+            and features.ndim == 1 and features.size
+            and 0 <= features.min() and features.max() < n_features):
+        grown = native.grow_tree(
+            Xb[:, features], features, g, h, rows, n_bins,
+            params.max_depth, params.min_child_weight, params.reg_lambda,
+            params.gamma, params.min_samples_leaf, leaf_scale,
+        )
+        if grown is not None:
+            return Tree._from_arrays(k, n_features, *grown)
 
     nodes: list[_Node] = []
     lam = params.reg_lambda

@@ -1,6 +1,7 @@
 """Optional C hot-loop kernels, compiled on demand with graceful fallback.
 
-Two kernels serve :class:`repro.ml.tree.FlatEnsemble` predictions:
+Three kernels: two serve :class:`repro.ml.tree.FlatEnsemble`
+predictions and one grows trees.
 
 * ``route_leaves`` walks every (tree, row) pair to its leaf.  The walk is
   three dependent gathers per (tree, row, level) — a memory-latency-bound
@@ -13,6 +14,12 @@ Two kernels serve :class:`repro.ml.tree.FlatEnsemble` predictions:
 * ``accumulate_leaves`` adds each routed tree's leaf value into its output
   columns, tree by tree.  In numpy that is one fancy-indexed add per tree,
   whose per-call overhead dominates a 1–2-row request on a 400-tree model.
+* ``grow_tree`` grows one whole tree of :func:`repro.ml.tree.grow_tree`
+  in one call: per-node histograms (the smaller child's built, the
+  larger's by subtraction from its parent), the cumulative split scan,
+  the stable row partition and the depth-first node stack.  The numpy
+  loop pays a dozen array dispatches per node; on depth-9 trees that
+  dispatch, not arithmetic, was the cost of training.
 
 Design constraints:
 
@@ -22,7 +29,18 @@ Design constraints:
   into each output element the same leaf values in the same tree order
   as the numpy round loop (plain IEEE additions, which the compiler may
   not reassociate without ``-ffast-math``), so predictions are equal
-  too.  Pinned by ``tests/test_ml_flat.py``.
+  too.  Pinned by ``tests/test_ml_flat.py``.  Growing repeats the numpy
+  grower's float operations in its order: histogram cells add rows in
+  row order (as ``np.bincount`` does), node totals and means over
+  outputs use numpy's pairwise summation where numpy does, prefix sums
+  are sequential (``cumsum``), and the first best split wins (``argmax``),
+  so trees are bit-identical.  Pinned by ``tests/test_ml_grow_kernel.py``
+  against the frozen grower in ``tests/tree_reference.py``.
+* **No floating-point contraction**: the kernels build with
+  ``-ffp-contract=off``.  GNU C fuses ``a * b + c`` into one FMA by
+  default under ``-march=native``, which rounds once instead of twice
+  and would change split gains.  No flag may let the compiler
+  reassociate or contract (no ``-ffast-math``).
 * **Zero hard dependencies**: the kernels are compiled at first use with
   the system C compiler (``cc``, else ``gcc``).  No compiler, a failed
   compile, a read-only cache directory, or ``REPRO_NATIVE=0`` all degrade
@@ -52,11 +70,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "route_leaves", "accumulate_leaves",
+__all__ = ["available", "route_leaves", "accumulate_leaves", "grow_tree",
            "kernel_info"]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Route every (tree, row) pair to its leaf in the flat ensemble arrays.
  *
@@ -124,11 +145,323 @@ void accumulate_leaves(const int32_t *leaves, const double *values,
         }
     }
 }
+
+/* numpy's float64 add.reduce inner loop (pairwise summation): eight
+ * accumulators per block of at most 128 elements, longer runs split in
+ * two at a multiple of 8.  The caller adds the result to 0.0, as numpy
+ * adds it to the reduction's identity.
+ */
+static double pairwise_sum(const double *a, int64_t n, int64_t stride)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j * stride];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[(i + j) * stride];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2, stride) +
+           pairwise_sum(a + n2 * stride, n - n2, stride);
+}
+
+/* np.mean over k contiguous values. */
+static double mean_k(const double *a, int64_t k)
+{
+    return (0.0 + pairwise_sum(a, k, 1)) / (double)k;
+}
+
+/* Histogram of rows[lo:hi): per (feature position, bin) cell the row
+ * count and the k gradient then k hessian sums, each added in row order
+ * (the order np.bincount adds its weights in). */
+static void build_hist(const uint8_t *xs, const double *g, const double *h,
+                       const int64_t *rows, int64_t lo, int64_t hi,
+                       int64_t fs, int64_t k, int64_t n_bins,
+                       int64_t *counts, double *sums)
+{
+    memset(counts, 0, (size_t)(fs * n_bins) * sizeof(int64_t));
+    memset(sums, 0, (size_t)(fs * n_bins * 2 * k) * sizeof(double));
+    for (int64_t i = lo; i < hi; i++) {
+        const int64_t r = rows[i];
+        const uint8_t *x = xs + r * fs;
+        const double *gr = g + r * k, *hr = h + r * k;
+        for (int64_t j = 0; j < fs; j++) {
+            const int64_t cell = j * n_bins + x[j];
+            double *dst = sums + cell * 2 * k;
+            counts[cell]++;
+            for (int64_t o = 0; o < k; o++) {
+                dst[o] += gr[o];
+                dst[k + o] += hr[o];
+            }
+        }
+    }
+}
+
+/* The best split of one node: the first (feature position, bin) with the
+ * highest finite, valid score, as the numpy grower's argmax picks it.
+ * G, H are the node's per-output totals and cnt its row count; work
+ * holds 5k doubles.  Returns the best score (-inf when none is valid).
+ * Always inlined, so calls with a constant k get their per-output loops
+ * unrolled; the operations and their order are the same for every k.
+ */
+static inline __attribute__((always_inline)) double
+best_split(const int64_t *counts, const double *sums, const double *G,
+           const double *H, int64_t cnt, int64_t fs, int64_t k,
+           int64_t n_bins, double min_child_weight, double lam,
+           double gamma, double min_samples_leaf, double *work,
+           int64_t *best_j, int64_t *best_b)
+{
+    double *gl = work, *hl = work + k, *hr = work + 2 * k,
+           *sl = work + 3 * k, *sr = work + 4 * k;
+    for (int64_t o = 0; o < k; o++)
+        sl[o] = G[o] * G[o] / (H[o] + lam);
+    const double parent = mean_k(sl, k);
+    double best = -INFINITY;
+    for (int64_t j = 0; j < fs; j++) {
+        const int64_t *fc = counts + j * n_bins;
+        const double *fsum = sums + j * n_bins * 2 * k;
+        int64_t cl = 0;
+        for (int64_t b = 0; b < n_bins - 1; b++) {
+            const double *cell = fsum + b * 2 * k;
+            if (b == 0) {
+                for (int64_t o = 0; o < k; o++) {
+                    gl[o] = cell[o];
+                    hl[o] = cell[k + o];
+                }
+            } else {
+                for (int64_t o = 0; o < k; o++) {
+                    gl[o] += cell[o];
+                    hl[o] += cell[k + o];
+                }
+            }
+            cl += fc[b];
+            if ((double)cl < min_samples_leaf ||
+                (double)(cnt - cl) < min_samples_leaf)
+                continue;
+            for (int64_t o = 0; o < k; o++)
+                hr[o] = H[o] - hl[o];
+            if (!(mean_k(hl, k) >= min_child_weight) ||
+                !(mean_k(hr, k) >= min_child_weight))
+                continue;
+            for (int64_t o = 0; o < k; o++) {
+                const double gr = G[o] - gl[o];
+                sl[o] = gl[o] * gl[o] / (hl[o] + lam);
+                sr[o] = gr * gr / (hr[o] + lam);
+            }
+            const double score =
+                0.5 * (mean_k(sl, k) + mean_k(sr, k) - parent) - gamma;
+            if (isfinite(score) && score > best) {
+                best = score;
+                *best_j = j;
+                *best_b = b;
+            }
+        }
+    }
+    return best;
+}
+
+typedef struct {
+    int64_t node, lo, hi, depth;
+} grow_entry;
+
+/* Grow one tree depth first, reproducing repro.ml.tree's numpy grower
+ * operation for operation so the node arrays are bit-identical.
+ *
+ * xs:        row-major (n, fs) uint8 bins of the eligible features
+ * features:  per position, the feature index written to feat
+ * g, h:      row-major (n, k) gradients and hessians
+ * rows_in:   the m rows the tree grows on (repeats allowed)
+ * feat .. n_samples: per-node outputs, room for cap nodes (values
+ *            holds k doubles per node)
+ *
+ * Returns the node count, -1 when out of memory or room, -2 when a row
+ * or bin is out of range (the caller then takes the numpy path).
+ */
+int64_t grow_tree(const uint8_t *xs, const int64_t *features,
+                  const double *g, const double *h, const int64_t *rows_in,
+                  int64_t n, int64_t m, int64_t fs, int64_t k,
+                  int64_t n_bins, int64_t max_depth,
+                  double min_child_weight, double lam, double gamma,
+                  double min_samples_leaf, double leaf_scale, int64_t cap,
+                  int64_t *feat, int64_t *thr, int64_t *left,
+                  int64_t *right, double *values, double *gain,
+                  int64_t *n_samples, int64_t *depth_reached)
+{
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t r = rows_in[i];
+        if (r < 0 || r >= n)
+            return -2;
+        for (int64_t j = 0; j < fs; j++)
+            if (xs[r * fs + j] >= n_bins)
+                return -2;
+    }
+    const int64_t cells = fs * n_bins;
+    const int64_t slots = (max_depth < m ? max_depth : m) + 2;
+    int64_t result = -1, n_nodes = 1, sp = 1, reached = 0;
+    int64_t *rows = malloc((size_t)(2 * m + 1) * sizeof(int64_t));
+    double *scratch = malloc((size_t)(7 * k) * sizeof(double));
+    grow_entry *stack = malloc((size_t)slots * sizeof(grow_entry));
+    int64_t **counts = calloc((size_t)slots, sizeof(int64_t *));
+    double **sums = calloc((size_t)slots, sizeof(double *));
+    if (!rows || !scratch || !stack || !counts || !sums)
+        goto done;
+    int64_t *spill = rows + m;
+    memcpy(rows, rows_in, (size_t)m * sizeof(int64_t));
+    double *G = scratch, *H = scratch + k;
+
+    for (int64_t i = 0; i < cap; i++) {
+        feat[i] = -1;
+        thr[i] = 0;
+        left[i] = right[i] = -1;
+        gain[i] = 0.0;
+    }
+    counts[0] = malloc((size_t)cells * sizeof(int64_t));
+    sums[0] = malloc((size_t)(cells * 2 * k) * sizeof(double));
+    if (!counts[0] || !sums[0])
+        goto done;
+    build_hist(xs, g, h, rows, 0, m, fs, k, n_bins, counts[0], sums[0]);
+    stack[0] = (grow_entry){0, 0, m, 0};
+
+    while (sp > 0) {
+        const int64_t p = --sp;
+        const grow_entry e = stack[p];
+        const int64_t cnt = e.hi - e.lo;
+        const int64_t *pc = counts[p];
+        const double *ps = sums[p];
+        /* Totals off feature 0: numpy's pairwise sum over the bins when
+         * k == 1, a sequential sum per output otherwise. */
+        for (int64_t o = 0; o < k; o++) {
+            if (k == 1) {
+                G[o] = 0.0 + pairwise_sum(ps + o, n_bins, 2 * k);
+                H[o] = 0.0 + pairwise_sum(ps + k + o, n_bins, 2 * k);
+            } else {
+                double gs = 0.0, hs = 0.0;
+                for (int64_t b = 0; b < n_bins; b++) {
+                    gs += ps[b * 2 * k + o];
+                    hs += ps[b * 2 * k + k + o];
+                }
+                G[o] = gs;
+                H[o] = hs;
+            }
+        }
+        n_samples[e.node] = cnt;
+        for (int64_t o = 0; o < k; o++)
+            values[e.node * k + o] = -leaf_scale * G[o] / (H[o] + lam);
+        if (e.depth >= max_depth || (double)cnt < 2 * min_samples_leaf)
+            continue;
+
+        int64_t best_j = 0, best_b = 0;
+        double best;
+        if (k == 1)
+            best = best_split(pc, ps, G, H, cnt, fs, 1, n_bins,
+                              min_child_weight, lam, gamma,
+                              min_samples_leaf, H + k, &best_j, &best_b);
+        else if (k == 4)
+            best = best_split(pc, ps, G, H, cnt, fs, 4, n_bins,
+                              min_child_weight, lam, gamma,
+                              min_samples_leaf, H + k, &best_j, &best_b);
+        else
+            best = best_split(pc, ps, G, H, cnt, fs, k, n_bins,
+                              min_child_weight, lam, gamma,
+                              min_samples_leaf, H + k, &best_j, &best_b);
+        if (!(best > 0.0))
+            continue;
+
+        /* Stable partition: left rows in place, right rows via spill. */
+        int64_t nl = 0, nr = 0;
+        for (int64_t i = e.lo; i < e.hi; i++) {
+            const int64_t r = rows[i];
+            if (xs[r * fs + best_j] <= best_b)
+                rows[e.lo + nl++] = r;
+            else
+                spill[nr++] = r;
+        }
+        memcpy(rows + e.lo + nl, spill, (size_t)nr * sizeof(int64_t));
+        if (nl == 0 || nr == 0)
+            continue;
+        if (n_nodes + 2 > cap || p + 2 > slots)
+            goto done;
+
+        const int64_t lnode = n_nodes, rnode = n_nodes + 1;
+        n_nodes += 2;
+        feat[e.node] = features[best_j];
+        thr[e.node] = best_b;
+        gain[e.node] = best;
+        left[e.node] = lnode;
+        right[e.node] = rnode;
+        if (e.depth + 1 > reached)
+            reached = e.depth + 1;
+
+        /* The smaller child's histogram is built into slot p + 1; the
+         * parent's in slot p becomes the larger child's by subtraction.
+         * Swapping the slots leaves the smaller child below the larger,
+         * so the larger is grown first. */
+        grow_entry small = {lnode, e.lo, e.lo + nl, e.depth + 1};
+        grow_entry large = {rnode, e.lo + nl, e.hi, e.depth + 1};
+        if (nl > nr) {
+            small = (grow_entry){rnode, e.lo + nl, e.hi, e.depth + 1};
+            large = (grow_entry){lnode, e.lo, e.lo + nl, e.depth + 1};
+        }
+        if (!counts[p + 1]) {
+            counts[p + 1] = malloc((size_t)cells * sizeof(int64_t));
+            sums[p + 1] = malloc((size_t)(cells * 2 * k) * sizeof(double));
+            if (!counts[p + 1] || !sums[p + 1])
+                goto done;
+        }
+        build_hist(xs, g, h, rows, small.lo, small.hi, fs, k, n_bins,
+                   counts[p + 1], sums[p + 1]);
+        int64_t *lc = counts[p];
+        double *ls = sums[p];
+        const int64_t *sc = counts[p + 1];
+        const double *ss = sums[p + 1];
+        for (int64_t c = 0; c < cells; c++)
+            lc[c] -= sc[c];
+        for (int64_t c = 0; c < cells * 2 * k; c++)
+            ls[c] -= ss[c];
+        counts[p] = counts[p + 1];
+        sums[p] = sums[p + 1];
+        counts[p + 1] = lc;
+        sums[p + 1] = ls;
+        stack[p] = small;
+        stack[p + 1] = large;
+        sp = p + 2;
+    }
+    *depth_reached = reached;
+    result = n_nodes;
+done:
+    if (counts && sums)
+        for (int64_t s = 0; s < slots; s++) {
+            free(counts[s]);
+            free(sums[s]);
+        }
+    free(counts);
+    free(sums);
+    free(stack);
+    free(scratch);
+    free(rows);
+    return result;
+}
 """
 
-_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-fno-math-errno")
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC", "-fno-math-errno",
+           "-ffp-contract=off")
 
 _I32 = ctypes.POINTER(ctypes.c_int32)
+_I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 _F64 = ctypes.POINTER(ctypes.c_double)
 
@@ -207,6 +540,14 @@ def _compile() -> tuple[ctypes.CDLL | None, str]:
         _I32, _F64, _I32,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, _F64,
+    ]
+    lib.grow_tree.restype = ctypes.c_int64
+    lib.grow_tree.argtypes = [
+        _U8, _I64, _F64, _F64, _I64,
+        *[ctypes.c_int64] * 6,
+        *[ctypes.c_double] * 5,
+        ctypes.c_int64,
+        _I64, _I64, _I64, _I64, _F64, _F64, _I64, _I64,
     ]
     return lib, str(so_path)
 
@@ -294,3 +635,72 @@ def accumulate_leaves(
         pred.shape[1], pred.ctypes.data_as(_F64),
     )
     return True
+
+
+def grow_tree(
+    xs: np.ndarray,
+    features: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    n_bins: int,
+    max_depth: int,
+    min_child_weight: float,
+    reg_lambda: float,
+    gamma: float,
+    min_samples_leaf: float,
+    leaf_scale: float,
+) -> tuple | None:
+    """Grow one tree in one call; its node arrays, or None if unavailable.
+
+    *xs* is the uint8 ``(n, fs)`` bin matrix of the eligible features,
+    *features* their indices, *g*/*h* the ``(n, k)`` gradients and
+    hessians and *rows* the rows to grow on.  Returns ``(feat, thr, left,
+    right, values, gain, n_samples, max_depth_reached)`` as
+    :class:`repro.ml.tree.Tree` holds them.  ``None`` means the caller
+    must take its fallback path (kernel disabled or not compilable here,
+    or a row or bin out of range).
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    xs = np.ascontiguousarray(xs)
+    features, rows = (np.ascontiguousarray(a, dtype=np.int64)
+                      for a in (features, rows))
+    g, h = (np.ascontiguousarray(a, dtype=np.float64) for a in (g, h))
+    if (xs.dtype != np.uint8 or xs.ndim != 2 or g.ndim != 2
+            or g.shape != h.shape or g.shape[0] != xs.shape[0]
+            or features.shape != (xs.shape[1],) or rows.ndim != 1):
+        raise ValueError("grow_tree: the arrays do not describe one tree")
+    n, fs = xs.shape
+    k = g.shape[1]
+    m = len(rows)
+    # Every split leaves rows on both sides, so no tree is deeper than
+    # m - 1 or has more than 2m - 1 nodes.
+    max_depth = min(max_depth, m)
+    cap = min(max(2 * m - 1, 1), (1 << (min(max_depth, 40) + 1)) - 1)
+    feat = np.empty(cap, dtype=np.int64)
+    thr = np.empty(cap, dtype=np.int64)
+    left = np.empty(cap, dtype=np.int64)
+    right = np.empty(cap, dtype=np.int64)
+    values = np.empty((cap, k), dtype=np.float64)
+    gain = np.empty(cap, dtype=np.float64)
+    n_samples = np.empty(cap, dtype=np.int64)
+    reached = np.zeros(1, dtype=np.int64)
+    n_nodes = lib.grow_tree(
+        xs.ctypes.data_as(_U8), features.ctypes.data_as(_I64),
+        g.ctypes.data_as(_F64), h.ctypes.data_as(_F64),
+        rows.ctypes.data_as(_I64),
+        n, m, fs, k, n_bins, max_depth,
+        min_child_weight, reg_lambda, gamma, min_samples_leaf, leaf_scale,
+        cap,
+        feat.ctypes.data_as(_I64), thr.ctypes.data_as(_I64),
+        left.ctypes.data_as(_I64), right.ctypes.data_as(_I64),
+        values.ctypes.data_as(_F64), gain.ctypes.data_as(_F64),
+        n_samples.ctypes.data_as(_I64), reached.ctypes.data_as(_I64),
+    )
+    if n_nodes < 0:
+        return None
+    return (*(a[:n_nodes].copy() for a in (feat, thr, left, right, values,
+                                           gain, n_samples)),
+            int(reached[0]))

@@ -81,3 +81,63 @@ def test_concurrent_first_use_compiles_one_kernel(tmp_path):
     files = [p.name for p in cache.iterdir()]
     assert len(files) == 1 and files[0].startswith("kernels-") \
         and files[0].endswith(".so"), files
+
+
+def _run(script, cache):
+    env = {**os.environ, "REPRO_NATIVE_CACHE": str(cache),
+           "PYTHONPATH": str(SRC)}
+    env.pop("REPRO_NATIVE", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_path_compiles_nothing(tmp_path):
+    # Kernels compile at first use; importing the package's entry
+    # layers must not get that far, or every process start pays for it.
+    cache = tmp_path / "cache"
+    out = _run(
+        "import repro.core, repro.dataset, repro.serve, repro.cli\n"
+        "from repro import native\n"
+        "print(native._state is None)\n",
+        cache,
+    )
+    assert out.split() == ["True"]
+    assert not cache.exists()
+
+
+def test_first_fit_on_two_threads_compiles_one_kernel(tmp_path):
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    cache = tmp_path / "cache"
+    # Both threads wait at the barrier, so their first grow_tree calls
+    # (and kernel loads) start together.
+    out = _run(
+        "import threading\n"
+        "import numpy as np\n"
+        "from repro import native\n"
+        "from repro.ml.boosting import GradientBoostedTrees\n"
+        "from repro.ml.serialization import model_to_dict\n"
+        "assert native._state is None\n"
+        "rng = np.random.default_rng(0)\n"
+        "X, Y = rng.normal(size=(200, 5)), rng.normal(size=(200, 2))\n"
+        "barrier = threading.Barrier(2)\n"
+        "fits = []\n"
+        "def fit():\n"
+        "    barrier.wait()\n"
+        "    fits.append(model_to_dict(GradientBoostedTrees(\n"
+        "        n_estimators=3, max_depth=3, random_state=0).fit(X, Y)))\n"
+        "threads = [threading.Thread(target=fit) for _ in range(2)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "assert len(fits) == 2 and fits[0] == fits[1]\n"
+        "print(native.available(), native.kernel_info())\n",
+        cache,
+    )
+    assert out.startswith("True "), out
+    files = [p.name for p in cache.iterdir()]
+    assert len(files) == 1 and files[0].startswith("kernels-") \
+        and files[0].endswith(".so"), files
